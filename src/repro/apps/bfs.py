@@ -34,19 +34,15 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
 from ..cluster.cluster import Cluster, ClusterConfig
+from ..cluster.scenario import check_finished, paired_config, run_scenario
 from ..runtime.barrier import Barrier
 from ..runtime.layout import MessagingConfig
 from ..runtime.messaging import Messenger
 from ..runtime.qp_api import RMCSession
-from ..sim import (
-    PartitionPlan,
-    default_transport,
-    plan_from_spec,
-    run_partitioned,
-)
+from ..sim import PartitionPlan
 from ..telemetry import merge_snapshots, snapshot
 from .graph import Graph, partition_random
-from .pagerank import _paired_config, _resolve_plan
+from .pagerank import _partitioned
 
 __all__ = ["bfs_reference", "run_bfs_fine", "run_bfs_push", "BFSResult"]
 
@@ -320,14 +316,6 @@ def _push_worker(setup: _BFSSetup, node_id: int, num_nodes: int,
             return
 
 
-def _merge_push_results(graph: Graph, parts: List[Dict]) -> List[int]:
-    distances = [-1] * graph.num_vertices
-    for part in parts:
-        for v, d in part["dist"].items():
-            distances[v] = d
-    return distances
-
-
 def run_bfs_push(graph: Graph, num_nodes: int, source: int = 0,
                  cluster_config: Optional[ClusterConfig] = None,
                  seed: int = 7,
@@ -345,81 +333,56 @@ def run_bfs_push(graph: Graph, num_nodes: int, source: int = 0,
     conservative parallel engine (``workers > 1`` or an explicit
     ``partition`` plan) with bit-identical results.
     """
-    plan = _resolve_plan(num_nodes, workers, partition)
-    if plan is not None:
-        config = _paired_config(cluster_config, num_nodes)
+    partitioned = _partitioned(workers, partition)
+    config = (paired_config(cluster_config, num_nodes) if partitioned
+              else cluster_config)
 
-        def build(rank: int, build_plan: PartitionPlan):
-            setup = _BFSSetup(graph, num_nodes, config, seed,
-                              partition_plan=build_plan, rank=rank)
-            setup.messengers = {
-                n: Messenger(setup.sessions[n], n, num_nodes,
-                             MessagingConfig(staging_bytes=128 * 1024))
-                for n in setup.owned
-            }
-            sim = setup.cluster.sim
-            dists = {n: {} for n in setup.owned}
-            messages = [0]
-            procs = [sim.process(_push_worker(setup, n, num_nodes, source,
-                                              dists[n], messages),
-                                 name=f"bfs.push{n}")
-                     for n in setup.owned]
+    def build(rank: int, plan: Optional[PartitionPlan]):
+        setup = _BFSSetup(graph, num_nodes, config, seed,
+                          partition_plan=plan, rank=rank)
+        setup.messengers = {
+            n: Messenger(setup.sessions[n], n, num_nodes,
+                         MessagingConfig(staging_bytes=128 * 1024))
+            for n in setup.owned
+        }
+        sim = setup.cluster.sim
+        dists = {n: {} for n in setup.owned}
+        messages = [0]
+        procs = [sim.process(_push_worker(setup, n, num_nodes, source,
+                                          dists[n], messages),
+                             name=f"bfs.push{n}")
+                 for n in setup.owned]
 
-            def finalize():
-                for proc in procs:
-                    if not proc.triggered:
-                        raise RuntimeError(
-                            f"{proc.name} did not finish (deadlock?)")
-                    if not proc.ok:
-                        raise proc.value
-                merged_dist = {}
-                for d in dists.values():
-                    merged_dist.update(d)
-                return {"dist": merged_dist, "messages": messages[0],
-                        "snapshot": snapshot(setup.cluster)}
+        def finalize():
+            check_finished(procs)
+            merged_dist = {}
+            for d in dists.values():
+                merged_dist.update(d)
+            return {"dist": merged_dist, "messages": messages[0],
+                    "snapshot": snapshot(setup.cluster)}
 
-            return sim, setup.cluster.fabric, finalize
+        return sim, setup.cluster.fabric, finalize
 
-        if isinstance(plan, str):
-            plan = plan_from_spec(plan, build, num_nodes,
-                                  workers or num_nodes)
-        if transport is None:
-            transport = default_transport(plan.num_parts)
-        run = run_partitioned(build, plan, transport=transport)
+    if partitioned:
+        run = run_scenario(build, num_nodes, workers,
+                           partition or "contiguous", transport)
         parts = [run.results[r] for r in sorted(run.results)]
-        distances = _merge_push_results(graph, parts)
-        merged = merge_snapshots([p["snapshot"] for p in parts],
-                                 engine_stats=run.engine_stats())
-        return BFSResult(variant="bfs-push", parallelism=num_nodes,
-                         distances=distances, elapsed_ns=run.final_time,
-                         levels=max((d for d in distances if d >= 0),
-                                    default=0),
-                         messages=sum(p["messages"] for p in parts),
-                         telemetry=merged)
-
-    setup = _BFSSetup(graph, num_nodes, cluster_config, seed)
-    setup.messengers = {
-        n: Messenger(setup.sessions[n], n, num_nodes,
-                     MessagingConfig(staging_bytes=128 * 1024))
-        for n in range(num_nodes)
-    }
-    sim = setup.cluster.sim
-    dists = {n: {} for n in range(num_nodes)}
-    messages = [0]
-    start_time = sim.now
-    procs = [sim.process(_push_worker(setup, n, num_nodes, source,
-                                      dists[n], messages),
-                         name=f"bfs.push{n}")
-             for n in range(num_nodes)]
-    sim.run()
-    for proc in procs:
-        if not proc.ok:  # pragma: no cover
-            raise proc.value
-    distances = _merge_push_results(graph, [{"dist": d}
-                                            for d in dists.values()])
+        elapsed_ns = run.final_time
+        telemetry = merge_snapshots([p["snapshot"] for p in parts],
+                                    engine_stats=run.engine_stats())
+    else:
+        sim, _fabric, finalize = build(0, None)
+        sim.run()
+        parts = [finalize()]
+        elapsed_ns = sim.now
+        telemetry = parts[0]["snapshot"]
+    distances = [-1] * graph.num_vertices
+    for part in parts:
+        for v, d in part["dist"].items():
+            distances[v] = d
     return BFSResult(variant="bfs-push", parallelism=num_nodes,
-                     distances=distances, elapsed_ns=sim.now - start_time,
+                     distances=distances, elapsed_ns=elapsed_ns,
                      levels=max((d for d in distances if d >= 0),
                                 default=0),
-                     messages=messages[0],
-                     telemetry=snapshot(setup.cluster))
+                     messages=sum(p["messages"] for p in parts),
+                     telemetry=telemetry)

@@ -29,16 +29,16 @@ Two programs ship with the engine: :class:`PageRankProgram`
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace as _dc_replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Protocol, Sequence, Set, Tuple
 
 from ..cluster.cluster import Cluster, ClusterConfig
+from ..cluster.scenario import check_finished, paired_config, run_scenario
 from ..resilience.checkpoint import HEADER_BYTES, StripedCheckpointStore
 from ..resilience.coding import parse_checkpoint_mode
 from ..runtime.barrier import Barrier, NodeEvicted, RankFailed
 from ..runtime.qp_api import RemoteOpFailed, RMCSession
-from ..sim import (PartitionError, PartitionPlan, default_transport,
-                   plan_from_spec, run_partitioned)
+from ..sim import PartitionError, PartitionPlan
 from .graph import Graph, partition_random
 
 __all__ = ["VertexProgram", "BSPEngine", "BSPResult",
@@ -62,18 +62,6 @@ _CTRL_DURABLE = 192    # u64: 1 + durable local checkpoint header
 _CTRL_ADOPT_DUR = 256  # u64: 1 + durable peer-region header
 _CTRL_PLAN = 320       # 3 x u64: (dead-mask << 1) | 1, restore, generation
 _CTRL_FINISHED = 384   # u64: 1 once this node returned successfully
-
-
-def _paired_cluster_config(config: Optional[ClusterConfig],
-                           num_nodes: int) -> ClusterConfig:
-    """The caller's config upgraded to paired flow control, which the
-    partition cut requires (see fabric.partition)."""
-    config = config or ClusterConfig(num_nodes=num_nodes)
-    if config.fabric.flow_control != "paired":
-        config = _dc_replace(
-            config, fabric=_dc_replace(config.fabric,
-                                       flow_control="paired"))
-    return config
 
 
 class VertexProgram(Protocol):
@@ -207,6 +195,89 @@ class BSPEngine:
     def _record_offset(self, vertex: int) -> int:
         return self.partition.local_index[vertex] * RECORD_BYTES
 
+    def _init_records(self, program: VertexProgram, rank: int,
+                      home_nid: int, base_offset: int) -> None:
+        graph = self.graph
+        for vertex in self.partition.members[rank]:
+            self.cluster.poke_segment(
+                home_nid, _CTX, base_offset + self._record_offset(vertex),
+                _pack(program.init(graph, vertex), 0.0,
+                      program.aux(graph, vertex)))
+
+    def _alloc_mirrors(self, session: RMCSession,
+                       node_id: int) -> Dict[int, int]:
+        """One landing buffer per peer partition for the shuffle."""
+        return {
+            r: session.alloc_buffer(
+                max(len(self.partition.members[r]), 1) * RECORD_BYTES)
+            for r in range(self.num_nodes) if r != node_id
+        }
+
+    @staticmethod
+    def _raise_errors(session: RMCSession) -> None:
+        if session.errors:
+            entry = session.errors[0]
+            raise RemoteOpFailed(entry.wq_index, entry.error)
+
+    def _superstep(self, program: VertexProgram, node_id: int,
+                   session: RMCSession, mirrors: Dict[int, int],
+                   partition_home: Dict[int, Tuple[int, int]], step: int,
+                   tolerance: float, remote_reads: List[int],
+                   mark_changed):
+        """Timed coroutine: one superstep on ``node_id`` — pull every
+        partition homed elsewhere (``partition_home[rank]`` is its
+        ``(node, base offset)``) into its mirror with one bulk read
+        each, then update every partition homed here, calling
+        ``mark_changed()`` whenever a value moves by more than
+        ``tolerance``."""
+        graph, partition = self.graph, self.partition
+        core = session.core
+        space = session.space
+        seg_base = session.ctx.segment.base_vaddr
+        # Shuffle: one bulk read per remote-homed partition, overlapped.
+        for r in range(self.num_nodes):
+            home, base = partition_home[r]
+            if home == node_id:
+                continue
+            nbytes = len(partition.members[r]) * RECORD_BYTES
+            if nbytes == 0:
+                continue
+            yield from session.wait_for_slot()
+            yield from session.read_async(home, base, mirrors[r], nbytes)
+            remote_reads[0] += 1
+        yield from session.drain_cq()
+        self._raise_errors(session)   # never compute on stale mirrors
+
+        read_at = step % 2
+        write_off = 8 * ((step + 1) % 2)
+        for rank in range(self.num_nodes):
+            home, base = partition_home[rank]
+            if home != node_id:
+                continue
+            for vertex in partition.members[rank]:
+                yield core.compute(program.vertex_compute_ns)
+                inputs = []
+                for u in graph.in_neighbors[vertex]:
+                    owner = partition.owner[u]
+                    o_home, o_base = partition_home[owner]
+                    rel = self._record_offset(u)
+                    if o_home == node_id:
+                        vaddr = seg_base + o_base + rel
+                    else:
+                        vaddr = mirrors[owner] + rel
+                    raw = yield from core.mem_read(space, vaddr, 24)
+                    vals = _unpack(raw)
+                    inputs.append((vals[read_at], vals[2]))
+                    yield core.compute(program.edge_compute_ns)
+                new_value = program.update(graph, vertex, inputs)
+                rec_vaddr = seg_base + base + self._record_offset(vertex)
+                old_value = _unpack(session.buffer_peek(
+                    rec_vaddr, 24))[read_at]
+                if abs(new_value - old_value) > tolerance:
+                    mark_changed()
+                yield from core.mem_write(space, rec_vaddr + write_off,
+                                          struct.pack("<d", new_value))
+
     def run(self, program: VertexProgram, max_supersteps: int,
             stop_on_convergence: bool = True,
             tolerance: float = 0.0) -> BSPResult:
@@ -216,11 +287,7 @@ class BSPEngine:
         sim = cluster.sim
 
         for node_id in range(self.num_nodes):
-            for vertex in partition.members[node_id]:
-                cluster.poke_segment(
-                    node_id, _CTX, self._record_offset(vertex),
-                    _pack(program.init(graph, vertex), 0.0,
-                          program.aux(graph, vertex)))
+            self._init_records(program, node_id, node_id, 0)
 
         remote_reads = [0]
         steps_run = [0]
@@ -231,19 +298,16 @@ class BSPEngine:
         changed: Dict[int, bool] = {n: True for n in range(self.num_nodes)}
         proceed = [True]
 
+        home = {n: (n, 0) for n in range(self.num_nodes)}
+
         def worker(node_id: int):
             session = self.sessions[node_id]
             barrier = self.barriers[node_id]
-            core = session.core
-            space = session.space
-            seg_base = session.ctx.segment.base_vaddr
-            mine = partition.members[node_id]
-            peers = [p for p in range(self.num_nodes) if p != node_id]
-            mirrors = {
-                p: session.alloc_buffer(
-                    max(len(partition.members[p]), 1) * RECORD_BYTES)
-                for p in peers
-            }
+            mirrors = self._alloc_mirrors(session, node_id)
+
+            def mark_changed():
+                changed[node_id] = True
+
             for step in range(max_supersteps):
                 yield from barrier.wait()          # changed[] is final
                 if node_id == 0:
@@ -256,42 +320,9 @@ class BSPEngine:
                     break
                 if node_id == 0:
                     steps_run[0] = step + 1
-
-                # Shuffle: one bulk read per peer, all overlapped.
-                for p in peers:
-                    nbytes = len(partition.members[p]) * RECORD_BYTES
-                    if nbytes == 0:
-                        continue
-                    yield from session.wait_for_slot()
-                    yield from session.read_async(p, 0, mirrors[p], nbytes)
-                    remote_reads[0] += 1
-                yield from session.drain_cq()
-
-                read_at = step % 2
-                for vertex in mine:
-                    yield core.compute(program.vertex_compute_ns)
-                    inputs = []
-                    for u in graph.in_neighbors[vertex]:
-                        owner = partition.owner[u]
-                        if owner == node_id:
-                            vaddr = seg_base + self._record_offset(u)
-                        else:
-                            vaddr = mirrors[owner] + self._record_offset(u)
-                        raw = yield from core.mem_read(space, vaddr, 24)
-                        values = _unpack(raw)
-                        inputs.append((values[read_at], values[2]))
-                        yield core.compute(program.edge_compute_ns)
-                    new_value = program.update(graph, vertex, inputs)
-                    old_raw = session.buffer_peek(
-                        seg_base + self._record_offset(vertex), 24)
-                    old_value = _unpack(old_raw)[read_at]
-                    if abs(new_value - old_value) > tolerance:
-                        changed[node_id] = True
-                    yield from core.mem_write(
-                        space,
-                        seg_base + self._record_offset(vertex)
-                        + 8 * ((step + 1) % 2),
-                        struct.pack("<d", new_value))
+                yield from self._superstep(program, node_id, session,
+                                           mirrors, home, step, tolerance,
+                                           remote_reads, mark_changed)
             yield from barrier.wait()
 
         start = sim.now
@@ -524,15 +555,6 @@ class FaultTolerantBSPEngine(BSPEngine):
         raise RuntimeError(
             f"node {nid}: no checkpoint slot with header {header}")
 
-    def _init_records(self, program: VertexProgram, rank: int,
-                      home_nid: int, base_offset: int) -> None:
-        graph = self.graph
-        for vertex in self.partition.members[rank]:
-            self.cluster.poke_segment(
-                home_nid, _CTX, base_offset + self._record_offset(vertex),
-                _pack(program.init(graph, vertex), 0.0,
-                      program.aux(graph, vertex)))
-
     def _adopter_of(self, rank: int) -> int:
         succ = (rank + 1) % self.num_nodes
         if succ in self.failed_ranks:
@@ -569,6 +591,80 @@ class FaultTolerantBSPEngine(BSPEngine):
             return False
         return self.membership.is_live(succ)
 
+    # -- superstep phases shared by the serial and partitioned loops --------
+
+    def _decider(self) -> int:
+        """The lowest live rank makes the collective proceed decision
+        (rank 0 in fault-free runs)."""
+        return min(r for r in range(self.num_nodes)
+                   if r not in self.failed_ranks)
+
+    def _replica_checkpoint(self, node_id: int, session: RMCSession,
+                            hdr_buf: int, progress: int,
+                            checkpoints: List[int]):
+        """Timed coroutine: replica-mode checkpoint of ``node_id``'s own
+        partition — a local snapshot (every survivor restores from its
+        own copy, whichever node died), then a bulk one-sided write into
+        the ring successor's peer region followed by its header (the
+        slot is valid only once the header lands)."""
+        slot = (progress // self.checkpoint_every) % 2
+        nbytes = len(self.partition.members[node_id]) * RECORD_BYTES
+        if nbytes == 0:
+            return
+        seg_base = session.ctx.segment.base_vaddr
+        data = session.buffer_peek(seg_base, nbytes)
+        self.cluster.poke_segment(node_id, _CTX,
+                                  self.local_ckpt_base
+                                  + slot * self.part_stride, data)
+        self.cluster.poke_segment(node_id, _CTX,
+                                  self.local_hdr_base + slot * 64,
+                                  progress.to_bytes(8, "little"))
+        checkpoints[0] += 1
+        succ = (node_id + 1) % self.num_nodes
+        if succ in self.failed_ranks or not self._replica_peer_ok(succ):
+            return   # checkpoint peer is gone or degraded: keep local
+            #          copies only until recovery sorts it out
+        yield from session.wait_for_slot()
+        yield from session.write_async(
+            succ, self.peer_ckpt_base + slot * self.part_stride,
+            seg_base, nbytes)
+        yield from session.drain_cq()
+        self._raise_errors(session)
+        session.buffer_poke(hdr_buf, progress.to_bytes(8, "little"))
+        yield from session.write_sync(
+            succ, self.peer_hdr_base + slot * 64, hdr_buf, 8)
+        # Same fabric-bytes accounting the coded store keeps, so the
+        # modes are comparable in telemetry and ablations.
+        self.cluster.resilience_counters(node_id) \
+            .checkpoint_bytes_written += nbytes
+
+    def _restore_rank(self, program: VertexProgram, rank: int, nid: int,
+                      restore_pt: int) -> None:
+        """Restore ``rank``'s partition at ``restore_pt`` into node
+        ``nid`` (untimed): its own records when ``rank == nid``, else
+        the adoption region. Replica mode reads ``nid``'s local
+        snapshot (own rank) or its peer region (the adopted ring
+        predecessor); coded modes rebuild from any k surviving shards.
+        Restore point 0 re-initializes."""
+        dst_base = 0 if rank == nid else self.adopt_base
+        if restore_pt == 0:
+            self._init_records(program, rank, nid, dst_base)
+            return
+        nbytes = len(self.partition.members[rank]) * RECORD_BYTES
+        if nbytes == 0:
+            return
+        if self.ckpt_store is not None:
+            data = self.ckpt_store.reconstruct(rank, restore_pt, nbytes)
+        else:
+            if rank == nid:
+                src_ckpt, src_hdr = self.local_ckpt_base, self.local_hdr_base
+            else:
+                src_ckpt, src_hdr = self.peer_ckpt_base, self.peer_hdr_base
+            slot = self._slot_with_header(nid, src_hdr, restore_pt)
+            data = self.cluster.peek_segment(
+                nid, _CTX, src_ckpt + slot * self.part_stride, nbytes)
+        self.cluster.poke_segment(nid, _CTX, dst_base, data)
+
     # -- the fault-tolerant run ----------------------------------------------
 
     def run(self, program: VertexProgram, max_supersteps: int,
@@ -601,93 +697,25 @@ class FaultTolerantBSPEngine(BSPEngine):
         recovery: Dict[str, object] = {"arrived": {}, "plan": None}
         failed = self.failed_ranks
 
-        def decider() -> int:
-            # Lowest live rank makes the collective proceed decision
-            # (rank 0 in fault-free runs).
-            return min(r for r in range(num_nodes) if r not in failed)
-
-        def raise_errors(session: RMCSession) -> None:
-            if session.errors:
-                entry = session.errors[0]
-                raise RemoteOpFailed(entry.wq_index, entry.error)
-
-        def checkpoint(node_id, session, seg_base, hdr_buf, progress):
+        def write_stripes(node_id, session, progress, rebuilt=False):
+            # Coded mode: no local snapshot — the scattered stripe IS
+            # the checkpoint. Adopted partitions are striped too (source
+            # = the adopted rank), so the coding invariant covers every
+            # partition after a recovery.
             slot = (progress // every) % 2
-            if self.ckpt_store is not None:
-                # Coded mode: no local snapshot — the scattered stripe
-                # IS the checkpoint. Adopted partitions are striped too
-                # (source = the adopted rank), so the coding invariant
-                # covers every partition after a recovery.
-                for rank in range(num_nodes):
-                    home, base = partition_home[rank]
-                    if home != node_id:
-                        continue
-                    nbytes = len(partition.members[rank]) * RECORD_BYTES
-                    if nbytes == 0:
-                        continue
-                    data = session.buffer_peek(seg_base + base, nbytes)
-                    wrote = yield from self.ckpt_store.write_stripe(
-                        session, rank, data, progress, slot)
-                    if wrote:
-                        checkpoints[0] += 1
-                return
-            nbytes = len(partition.members[node_id]) * RECORD_BYTES
-            if nbytes == 0:
-                return
-            data = session.buffer_peek(seg_base, nbytes)
-            # Local snapshot first: every survivor restores from its own
-            # copy, whichever node died.
-            cluster.poke_segment(node_id, _CTX,
-                                 self.local_ckpt_base
-                                 + slot * self.part_stride, data)
-            cluster.poke_segment(node_id, _CTX,
-                                 self.local_hdr_base + slot * 64,
-                                 progress.to_bytes(8, "little"))
-            checkpoints[0] += 1
-            succ = (node_id + 1) % num_nodes
-            if succ in failed or not self._replica_peer_ok(succ):
-                return   # checkpoint peer is gone or degraded: keep
-                #          local copies only until recovery sorts it out
-            # Remote snapshot: bulk one-sided write, then the header —
-            # the slot is valid only once its header lands.
-            yield from session.wait_for_slot()
-            yield from session.write_async(
-                succ, self.peer_ckpt_base + slot * self.part_stride,
-                seg_base, nbytes)
-            yield from session.drain_cq()
-            raise_errors(session)
-            session.buffer_poke(hdr_buf, progress.to_bytes(8, "little"))
-            yield from session.write_sync(
-                succ, self.peer_hdr_base + slot * 64, hdr_buf, 8)
-            # Same fabric-bytes accounting the coded store keeps, so
-            # the modes are comparable in telemetry and ablations.
-            cluster.resilience_counters(node_id) \
-                .checkpoint_bytes_written += nbytes
-
-        def restore_rank(rank, src_nid, src_ckpt, src_hdr,
-                         dst_nid, dst_base, restore_pt):
-            if restore_pt == 0:
-                self._init_records(program, rank, dst_nid, dst_base)
-                return
-            nbytes = len(partition.members[rank]) * RECORD_BYTES
-            if nbytes == 0:
-                return
-            slot = self._slot_with_header(src_nid, src_hdr, restore_pt)
-            data = cluster.peek_segment(
-                src_nid, _CTX, src_ckpt + slot * self.part_stride, nbytes)
-            cluster.poke_segment(dst_nid, _CTX, dst_base, data)
-
-        def restore_coded(rank, dst_nid, dst_base, restore_pt):
-            """Rebuild ``rank``'s partition at ``restore_pt`` from any k
-            surviving shards of its stripe (restore_pt 0: re-init)."""
-            if restore_pt == 0:
-                self._init_records(program, rank, dst_nid, dst_base)
-                return
-            nbytes = len(partition.members[rank]) * RECORD_BYTES
-            if nbytes == 0:
-                return
-            data = self.ckpt_store.reconstruct(rank, restore_pt, nbytes)
-            cluster.poke_segment(dst_nid, _CTX, dst_base, data)
+            seg_base = session.ctx.segment.base_vaddr
+            for rank in range(num_nodes):
+                home, base = partition_home[rank]
+                if home != node_id:
+                    continue
+                nbytes = len(partition.members[rank]) * RECORD_BYTES
+                if nbytes == 0:
+                    continue
+                data = session.buffer_peek(seg_base + base, nbytes)
+                wrote = yield from self.ckpt_store.write_stripe(
+                    session, rank, data, progress, slot, rebuilt=rebuilt)
+                if wrote and not rebuilt:
+                    checkpoints[0] += 1
 
         def recover(node_id, session, barrier, step):
             # Quiesce: outstanding operations toward the dead node
@@ -774,11 +802,7 @@ class FaultTolerantBSPEngine(BSPEngine):
             if plan["generation"] > barrier.generation:
                 barrier.resync_generation(plan["generation"])
             session.consume_errors()
-            if self.ckpt_store is not None:
-                restore_coded(node_id, node_id, 0, restore_pt)
-            else:
-                restore_rank(node_id, node_id, self.local_ckpt_base,
-                             self.local_hdr_base, node_id, 0, restore_pt)
+            self._restore_rank(program, node_id, node_id, restore_pt)
             for d in plan["dead"]:
                 if plan["adopters"][d] != node_id \
                         or partition_home[d][0] == node_id:
@@ -787,12 +811,7 @@ class FaultTolerantBSPEngine(BSPEngine):
                        if r != node_id and r != d):
                     raise RuntimeError("adoption region already in use: "
                                        "one adoption per surviving rank")
-                if self.ckpt_store is not None:
-                    restore_coded(d, node_id, self.adopt_base, restore_pt)
-                else:
-                    restore_rank(d, node_id, self.peer_ckpt_base,
-                                 self.peer_hdr_base, node_id,
-                                 self.adopt_base, restore_pt)
+                self._restore_rank(program, d, node_id, restore_pt)
                 partition_home[d] = (node_id, self.adopt_base)
             if self.ckpt_store is not None and restore_pt > 0:
                 # Re-scatter: the dead node held shards of surviving
@@ -802,19 +821,8 @@ class FaultTolerantBSPEngine(BSPEngine):
                 # invariant before execution resumes. Shard bytes are
                 # deterministic functions of the data, so reads mixing
                 # old and new placements stay consistent.
-                slot = (restore_pt // every) % 2
-                seg_base = session.ctx.segment.base_vaddr
-                for rank in range(num_nodes):
-                    home, base = partition_home[rank]
-                    if home != node_id:
-                        continue
-                    nbytes = len(partition.members[rank]) * RECORD_BYTES
-                    if nbytes == 0:
-                        continue
-                    data = session.buffer_peek(seg_base + base, nbytes)
-                    yield from self.ckpt_store.write_stripe(
-                        session, rank, data, restore_pt, slot,
-                        rebuilt=True)
+                yield from write_stripes(node_id, session, restore_pt,
+                                         rebuilt=True)
             changed[node_id] = True
             proceed[0] = True
             return restore_pt
@@ -822,15 +830,12 @@ class FaultTolerantBSPEngine(BSPEngine):
         def worker(node_id):
             session = self.sessions[node_id]
             barrier = self.barriers[node_id]
-            core = session.core
-            space = session.space
-            seg_base = session.ctx.segment.base_vaddr
-            mirrors = {
-                r: session.alloc_buffer(
-                    max(len(partition.members[r]), 1) * RECORD_BYTES)
-                for r in range(num_nodes) if r != node_id
-            }
+            mirrors = self._alloc_mirrors(session, node_id)
             hdr_buf = session.alloc_buffer(8)
+
+            def mark_changed():
+                changed[node_id] = True
+
             step = 0
             try:
                 while True:
@@ -844,7 +849,7 @@ class FaultTolerantBSPEngine(BSPEngine):
                             yield from barrier.wait()
                             return
                         yield from barrier.wait()  # changed[] is final
-                        if node_id == decider():
+                        if node_id == self._decider():
                             proceed[0] = any(changed[n]
                                              for n in range(num_nodes))
                             for n in range(num_nodes):
@@ -853,67 +858,20 @@ class FaultTolerantBSPEngine(BSPEngine):
                         if stop_on_convergence and not proceed[0]:
                             yield from barrier.wait()  # final rendezvous
                             return
-                        if node_id == decider():
+                        if node_id == self._decider():
                             steps_run[0] = step + 1
-
-                        # Shuffle: one bulk read per remote-homed rank.
-                        for r in range(num_nodes):
-                            home, base = partition_home[r]
-                            if home == node_id:
-                                continue
-                            nbytes = (len(partition.members[r])
-                                      * RECORD_BYTES)
-                            if nbytes == 0:
-                                continue
-                            yield from session.wait_for_slot()
-                            yield from session.read_async(
-                                home, base, mirrors[r], nbytes)
-                            remote_reads[0] += 1
-                        yield from session.drain_cq()
-                        raise_errors(session)   # never compute on stale
-                        #                         mirror contents
-
-                        read_at = step % 2
-                        write_off = 8 * ((step + 1) % 2)
-                        for rank in range(num_nodes):
-                            home, base = partition_home[rank]
-                            if home != node_id:
-                                continue
-                            for vertex in partition.members[rank]:
-                                yield core.compute(
-                                    program.vertex_compute_ns)
-                                inputs = []
-                                for u in graph.in_neighbors[vertex]:
-                                    owner = partition.owner[u]
-                                    o_home, o_base = partition_home[owner]
-                                    rel = self._record_offset(u)
-                                    if o_home == node_id:
-                                        vaddr = seg_base + o_base + rel
-                                    else:
-                                        vaddr = mirrors[owner] + rel
-                                    raw = yield from core.mem_read(
-                                        space, vaddr, 24)
-                                    vals = _unpack(raw)
-                                    inputs.append((vals[read_at],
-                                                   vals[2]))
-                                    yield core.compute(
-                                        program.edge_compute_ns)
-                                new_value = program.update(graph, vertex,
-                                                           inputs)
-                                rec_vaddr = (seg_base + base
-                                             + self._record_offset(vertex))
-                                old_value = _unpack(session.buffer_peek(
-                                    rec_vaddr, 24))[read_at]
-                                if abs(new_value - old_value) > tolerance:
-                                    changed[node_id] = True
-                                yield from core.mem_write(
-                                    space, rec_vaddr + write_off,
-                                    struct.pack("<d", new_value))
-
+                        yield from self._superstep(
+                            program, node_id, session, mirrors,
+                            partition_home, step, tolerance, remote_reads,
+                            mark_changed)
                         if (step + 1) % every == 0:
-                            yield from checkpoint(node_id, session,
-                                                  seg_base, hdr_buf,
-                                                  step + 1)
+                            if self.ckpt_store is None:
+                                yield from self._replica_checkpoint(
+                                    node_id, session, hdr_buf, step + 1,
+                                    checkpoints)
+                            else:
+                                yield from write_stripes(node_id, session,
+                                                         step + 1)
                         step += 1
                     except (RankFailed, NodeEvicted, RemoteOpFailed):
                         if barrier.self_evicted or node_id in failed \
@@ -934,46 +892,10 @@ class FaultTolerantBSPEngine(BSPEngine):
             if not proc.ok:
                 raise proc.value
 
-        final_epoch = steps_run[0] % 2
         values = [0.0] * graph.num_vertices
-        for rank in range(num_nodes):
-            home, base = partition_home[rank]
-            raw_partition = None
-            if rank in failed and home == rank:
-                # Died without being adopted (i.e. after its last
-                # superstep): its freshest surviving state is its last
-                # durable checkpoint — the remote copy at its ring
-                # successor (replica) or its reconstructed stripe
-                # (coded; raises CheckpointUnrecoverable when more than
-                # m shards died with it).
-                if self.ckpt_store is not None:
-                    durable = self.ckpt_store.durable_epoch(rank)
-                    if durable < steps_run[0]:
-                        raise RuntimeError(
-                            f"rank {rank} died un-adopted with a stale "
-                            f"checkpoint ({durable} < {steps_run[0]})")
-                    nbytes = len(partition.members[rank]) * RECORD_BYTES
-                    raw_partition = self.ckpt_store.reconstruct(
-                        rank, durable, nbytes)
-                else:
-                    succ = self._adopter_of(rank)
-                    durable = self._durable_header(succ,
-                                                   self.peer_hdr_base)
-                    if durable < steps_run[0]:
-                        raise RuntimeError(
-                            f"rank {rank} died un-adopted with a stale "
-                            f"checkpoint ({durable} < {steps_run[0]})")
-                    slot = self._slot_with_header(
-                        succ, self.peer_hdr_base, durable)
-                    home = succ
-                    base = self.peer_ckpt_base + slot * self.part_stride
-            for vertex in partition.members[rank]:
-                rel = self._record_offset(vertex)
-                if raw_partition is not None:
-                    raw = raw_partition[rel:rel + 24]
-                else:
-                    raw = cluster.peek_segment(home, _CTX, base + rel, 24)
-                values[vertex] = _unpack(raw)[final_epoch]
+        for vertex, value in self._collect_rank(
+                steps_run[0], partition_home).items():
+            values[vertex] = value
         converged = steps_run[0] < max_supersteps
         return BSPResult(values=values, supersteps_run=steps_run[0],
                          elapsed_ns=sim.now - start, converged=converged,
@@ -996,8 +918,7 @@ class FaultTolerantBSPEngine(BSPEngine):
         itself is bit-identical across worker counts and transports."""
         deferred = self._deferred
         num_nodes = self.num_nodes
-        config = _paired_cluster_config(deferred["cluster_config"],
-                                        num_nodes)
+        config = paired_config(deferred["cluster_config"], num_nodes)
 
         def build(rank: int, build_plan: PartitionPlan):
             engine = FaultTolerantBSPEngine(
@@ -1013,10 +934,8 @@ class FaultTolerantBSPEngine(BSPEngine):
             return engine._start_rank(program, max_supersteps,
                                       stop_on_convergence, tolerance)
 
-        plan = plan_from_spec(self.partition_spec, build, num_nodes,
-                              min(self.workers, num_nodes))
-        transport = self.transport or default_transport(plan.num_parts)
-        run = run_partitioned(build, plan, transport=transport)
+        run = run_scenario(build, num_nodes, self.workers,
+                           self.partition_spec, self.transport)
         parts = [run.results[r] for r in sorted(run.results)]
         values = [0.0] * self.graph.num_vertices
         for part in parts:
@@ -1039,8 +958,9 @@ class FaultTolerantBSPEngine(BSPEngine):
 
     def _start_rank(self, program: VertexProgram, max_supersteps: int,
                     stop_on_convergence: bool, tolerance: float):
-        """Builder payload for :func:`repro.sim.run_partitioned`: spawn
-        a worker per *owned* node and return ``(sim, fabric, finalize)``.
+        """Builder payload for :func:`~repro.cluster.scenario.run_scenario`:
+        spawn a worker per *owned* node and return
+        ``(sim, fabric, finalize)``.
         Called on per-rank engines (``plan``/``rank`` set)."""
         sim = self.cluster.sim
         st = self._rank_state = {
@@ -1064,14 +984,10 @@ class FaultTolerantBSPEngine(BSPEngine):
                  for n in self.owned]
 
         def finalize():
-            for proc in procs:
-                if not proc.triggered:
-                    raise RuntimeError(
-                        f"{proc.name} did not finish (deadlock?)")
-                if not proc.ok:
-                    raise proc.value
+            check_finished(procs)
             return {
-                "values": self._collect_rank(),
+                "values": self._collect_rank(st["steps_run"][0],
+                                             st["partition_home"]),
                 "steps_run": st["steps_run"][0],
                 "remote_reads": st["remote_reads"][0],
                 "recoveries": st["recoveries"][0],
@@ -1082,35 +998,59 @@ class FaultTolerantBSPEngine(BSPEngine):
 
         return sim, self.cluster.fabric, finalize
 
-    def _collect_rank(self) -> Dict[int, float]:
-        """Final values of every partition this rank is responsible for
-        emitting: partitions homed on a live owned node, plus a dead
-        un-adopted rank's last durable checkpoint when this rank owns
-        its ring successor (mirrors the serial collection)."""
-        st = self._rank_state
+    def _collect_rank(self, steps_run: int,
+                      partition_home: Dict[int, Tuple[int, int]]
+                      ) -> Dict[int, float]:
+        """Final values of every partition this engine is responsible
+        for emitting: partitions homed on a live owned node, plus a dead
+        un-adopted rank's last durable checkpoint when this engine owns
+        its checkpoint holder (a serial engine owns every node)."""
         failed = self.failed_ranks
-        final_epoch = st["steps_run"][0] % 2
+        final_epoch = steps_run % 2
         values: Dict[int, float] = {}
         for rank in range(self.num_nodes):
-            home, base = st["partition_home"][rank]
+            home, base = partition_home[rank]
+            nbytes = len(self.partition.members[rank]) * RECORD_BYTES
+            raw_partition = None
             if rank in failed and home == rank:
-                succ = self._adopter_of(rank)
-                if succ not in self.owned:
-                    continue
-                durable = self._durable_header(succ, self.peer_hdr_base)
-                if durable < st["steps_run"][0]:
+                # Died without being adopted (i.e. after its last
+                # superstep): its freshest surviving state is its last
+                # durable checkpoint — the remote copy at its ring
+                # successor (replica) or its reconstructed stripe
+                # (coded; raises CheckpointUnrecoverable when more than
+                # m shards died with it).
+                if self.ckpt_store is not None:
+                    durable = self.ckpt_store.durable_epoch(rank)
+                else:
+                    home = self._adopter_of(rank)
+                    if home not in self.owned:
+                        continue
+                    durable = self._durable_header(home,
+                                                   self.peer_hdr_base)
+                if durable < steps_run:
                     raise RuntimeError(
                         f"rank {rank} died un-adopted with a stale "
-                        f"checkpoint ({durable} < {st['steps_run'][0]})")
-                slot = self._slot_with_header(succ, self.peer_hdr_base,
-                                              durable)
-                home = succ
-                base = self.peer_ckpt_base + slot * self.part_stride
-            elif home not in self.owned or home in failed:
+                        f"checkpoint ({durable} < {steps_run})")
+                if self.ckpt_store is not None:
+                    raw_partition = self.ckpt_store.reconstruct(
+                        rank, durable, nbytes)
+                else:
+                    slot = self._slot_with_header(home, self.peer_hdr_base,
+                                                  durable)
+                    base = self.peer_ckpt_base + slot * self.part_stride
+            elif home in failed:
+                raise RuntimeError(
+                    f"rank {rank}'s adopter {home} failed too: a second "
+                    f"failure incident (one per run)")
+            elif home not in self.owned:
                 continue
             for vertex in self.partition.members[rank]:
                 rel = self._record_offset(vertex)
-                raw = self.cluster.peek_segment(home, _CTX, base + rel, 24)
+                if raw_partition is not None:
+                    raw = raw_partition[rel:rel + 24]
+                else:
+                    raw = self.cluster.peek_segment(home, _CTX, base + rel,
+                                                    24)
                 values[vertex] = _unpack(raw)[final_epoch]
         return values
 
@@ -1138,30 +1078,18 @@ class FaultTolerantBSPEngine(BSPEngine):
         dicts); every read of a *peer's* word is a timed one-sided
         ``read_sync`` even when the peer is simulated by this same rank,
         keeping the event timeline independent of the partitioning."""
-        graph, partition = self.graph, self.partition
         cluster = self.cluster
         sim = cluster.sim
         num_nodes = self.num_nodes
-        every = self.checkpoint_every
         failed = self.failed_ranks
         st = self._rank_state
         partition_home = st["partition_home"]
         session = self.sessions[node_id]
         barrier = self.barriers[node_id]
-        core = session.core
-        space = session.space
-        seg_base = session.ctx.segment.base_vaddr
-        mirrors = {
-            r: session.alloc_buffer(
-                max(len(partition.members[r]), 1) * RECORD_BYTES)
-            for r in range(num_nodes) if r != node_id
-        }
+        mirrors = self._alloc_mirrors(session, node_id)
         hdr_buf = session.alloc_buffer(8)
         ctrl_buf = session.alloc_buffer(64)
         ctrl_base = self.ctrl_base
-
-        def decider() -> int:
-            return min(r for r in range(num_nodes) if r not in failed)
 
         def poke_word(offset: int, value: int) -> None:
             cluster.poke_segment(node_id, _CTX, ctrl_base + offset,
@@ -1185,53 +1113,9 @@ class FaultTolerantBSPEngine(BSPEngine):
             raw = yield from read_ctrl(peer, offset)
             return int.from_bytes(raw, "little")
 
-        def raise_errors() -> None:
-            if session.errors:
-                entry = session.errors[0]
-                raise RemoteOpFailed(entry.wq_index, entry.error)
-
-        def checkpoint(progress: int):
-            slot = (progress // every) % 2
-            nbytes = len(partition.members[node_id]) * RECORD_BYTES
-            if nbytes == 0:
-                return
-            data = session.buffer_peek(seg_base, nbytes)
-            cluster.poke_segment(node_id, _CTX,
-                                 self.local_ckpt_base
-                                 + slot * self.part_stride, data)
-            cluster.poke_segment(node_id, _CTX,
-                                 self.local_hdr_base + slot * 64,
-                                 progress.to_bytes(8, "little"))
-            st["checkpoints"][0] += 1
-            succ = (node_id + 1) % num_nodes
-            if succ in failed or not self._replica_peer_ok(succ):
-                return
-            yield from session.wait_for_slot()
-            yield from session.write_async(
-                succ, self.peer_ckpt_base + slot * self.part_stride,
-                seg_base, nbytes)
-            yield from session.drain_cq()
-            raise_errors()
-            session.buffer_poke(hdr_buf, progress.to_bytes(8, "little"))
-            yield from session.write_sync(
-                succ, self.peer_hdr_base + slot * 64, hdr_buf, 8)
-            cluster.resilience_counters(node_id) \
-                .checkpoint_bytes_written += nbytes
-
-        def restore_rank(rank, src_ckpt, src_hdr, dst_base, restore_pt):
-            # Node-local in every partitioned case: survivors restore
-            # from their own snapshots, adopters from their own peer
-            # (ring-predecessor) region.
-            if restore_pt == 0:
-                self._init_records(program, rank, node_id, dst_base)
-                return
-            nbytes = len(partition.members[rank]) * RECORD_BYTES
-            if nbytes == 0:
-                return
-            slot = self._slot_with_header(node_id, src_hdr, restore_pt)
-            data = cluster.peek_segment(
-                node_id, _CTX, src_ckpt + slot * self.part_stride, nbytes)
-            cluster.poke_segment(node_id, _CTX, dst_base, data)
+        def mark_changed():
+            if peek_word(_CTRL_FLAG) < step + 1:
+                poke_word(_CTRL_FLAG, step + 1)
 
         def finished_exit():
             for d in sorted(failed):
@@ -1383,8 +1267,7 @@ class FaultTolerantBSPEngine(BSPEngine):
             if plan["generation"] > barrier.generation:
                 barrier.resync_generation(plan["generation"])
             session.consume_errors()
-            restore_rank(node_id, self.local_ckpt_base,
-                         self.local_hdr_base, 0, restore_pt)
+            self._restore_rank(program, node_id, node_id, restore_pt)
             for d in plan["dead"]:
                 adopter = plan["adopters"][d]
                 if adopter == node_id and d not in st["adopted"]:
@@ -1394,9 +1277,7 @@ class FaultTolerantBSPEngine(BSPEngine):
                         raise RuntimeError(
                             "adoption region already in use: one "
                             "adoption per surviving rank")
-                    restore_rank(d, self.peer_ckpt_base,
-                                 self.peer_hdr_base, self.adopt_base,
-                                 restore_pt)
+                    self._restore_rank(program, d, node_id, restore_pt)
                     st["adopted"].add(d)
                 # Every rank redirects reads for the dead partition to
                 # its adopter — the assignment is a pure function of the
@@ -1416,7 +1297,7 @@ class FaultTolerantBSPEngine(BSPEngine):
                     poke_word(_CTRL_FINISHED, 1)
                     return
                 yield from barrier.wait()       # flags are final
-                dec = decider()
+                dec = self._decider()
                 proceed = None
                 if node_id == dec:
                     proceed = peek_word(_CTRL_FLAG) >= step
@@ -1441,58 +1322,13 @@ class FaultTolerantBSPEngine(BSPEngine):
                     poke_word(_CTRL_FINISHED, 1)
                     return
                 st["steps_run"][0] = step + 1
-
-                # Shuffle: one bulk read per remote-homed rank.
-                for r in range(num_nodes):
-                    home, base = partition_home[r]
-                    if home == node_id:
-                        continue
-                    nbytes = len(partition.members[r]) * RECORD_BYTES
-                    if nbytes == 0:
-                        continue
-                    yield from session.wait_for_slot()
-                    yield from session.read_async(home, base, mirrors[r],
-                                                  nbytes)
-                    st["remote_reads"][0] += 1
-                yield from session.drain_cq()
-                raise_errors()
-
-                read_at = step % 2
-                write_off = 8 * ((step + 1) % 2)
-                for rank in range(num_nodes):
-                    home, base = partition_home[rank]
-                    if home != node_id:
-                        continue
-                    for vertex in partition.members[rank]:
-                        yield core.compute(program.vertex_compute_ns)
-                        inputs = []
-                        for u in graph.in_neighbors[vertex]:
-                            owner = partition.owner[u]
-                            o_home, o_base = partition_home[owner]
-                            rel = self._record_offset(u)
-                            if o_home == node_id:
-                                vaddr = seg_base + o_base + rel
-                            else:
-                                vaddr = mirrors[owner] + rel
-                            raw = yield from core.mem_read(space, vaddr,
-                                                           24)
-                            vals = _unpack(raw)
-                            inputs.append((vals[read_at], vals[2]))
-                            yield core.compute(program.edge_compute_ns)
-                        new_value = program.update(graph, vertex, inputs)
-                        rec_vaddr = (seg_base + base
-                                     + self._record_offset(vertex))
-                        old_value = _unpack(session.buffer_peek(
-                            rec_vaddr, 24))[read_at]
-                        if abs(new_value - old_value) > tolerance \
-                                and peek_word(_CTRL_FLAG) < step + 1:
-                            poke_word(_CTRL_FLAG, step + 1)
-                        yield from core.mem_write(
-                            space, rec_vaddr + write_off,
-                            struct.pack("<d", new_value))
-
-                if (step + 1) % every == 0:
-                    yield from checkpoint(step + 1)
+                yield from self._superstep(
+                    program, node_id, session, mirrors, partition_home,
+                    step, tolerance, st["remote_reads"], mark_changed)
+                if (step + 1) % self.checkpoint_every == 0:
+                    yield from self._replica_checkpoint(
+                        node_id, session, hdr_buf, step + 1,
+                        st["checkpoints"])
                 step += 1
             except (RankFailed, NodeEvicted, RemoteOpFailed):
                 if barrier.self_evicted or node_id in failed \

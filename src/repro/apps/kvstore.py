@@ -25,49 +25,23 @@ fencing), it fails over to the next and keeps serving. Because PUT acks
 imply full replication, an acknowledged PUT is never lost; staleness is
 bounded by the single in-flight PUT.
 
-Bucket layout (64 bytes)::
-
-    bytes 0-7    key (u64; 0 = empty bucket)
-    bytes 8-9    value length (u16)
-    bytes 10-63  value (up to 54 bytes inline)
+The bucket format and probe sequence live in :mod:`.kvlayout`.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from ..resilience.coding import ErasureCode
 from ..runtime.qp_api import RemoteOpFailed, RMCSession
 from ..sim import LatencyStat
-from ..vm.address import CACHE_LINE_SIZE
+from .kvlayout import (BUCKET_BYTES, MAX_VALUE_BYTES, pack_bucket,
+                       probe_slot, unpack_bucket)
 
 __all__ = ["KVServer", "KVClient", "KVStats", "ReplicatedKVServer",
            "CodedKVServer", "FailoverKVClient", "AvailabilityStats",
            "BUCKET_BYTES", "MAX_VALUE_BYTES"]
-
-BUCKET_BYTES = CACHE_LINE_SIZE
-MAX_VALUE_BYTES = BUCKET_BYTES - 10
-
-#: Fibonacci hashing constant (Knuth) for u64 keys.
-_HASH_MULT = 11400714819323198485
-
-
-def _bucket_index(key: int, num_buckets: int) -> int:
-    return ((key * _HASH_MULT) & (2 ** 64 - 1)) % num_buckets
-
-
-def _pack_bucket(key: int, value: bytes) -> bytes:
-    if len(value) > MAX_VALUE_BYTES:
-        raise ValueError(f"value of {len(value)}B exceeds inline capacity")
-    body = struct.pack("<QH", key, len(value)) + value
-    return body + bytes(BUCKET_BYTES - len(body))
-
-
-def _unpack_bucket(data: bytes) -> Tuple[int, bytes]:
-    key, length = struct.unpack_from("<QH", data)
-    return key, data[10:10 + length]
 
 
 @dataclass
@@ -109,39 +83,34 @@ class KVServer:
         """Insert/overwrite via the server's local path (untimed setup
         helper for preloading; timed server PUT is :meth:`put_timed`).
         Returns the bucket index used."""
-        if key == 0:
-            raise ValueError("key 0 is reserved for empty buckets")
-        index = _bucket_index(key, self.num_buckets)
+        bucket = pack_bucket(key, value)
         for probe in range(self.num_buckets):
-            slot = (index + probe) % self.num_buckets
+            slot = probe_slot(key, probe, self.num_buckets)
             raw = self.session.buffer_peek(self._bucket_vaddr(slot),
                                            BUCKET_BYTES)
-            existing_key, _ = _unpack_bucket(raw)
+            existing_key, _ = unpack_bucket(raw)
             if existing_key in (0, key):
                 if existing_key == 0:
                     self.entries += 1
-                self.session.buffer_poke(self._bucket_vaddr(slot),
-                                         _pack_bucket(key, value))
+                self.session.buffer_poke(self._bucket_vaddr(slot), bucket)
                 return slot
         raise RuntimeError("hash table full")
 
     def put_timed(self, key: int, value: bytes):
         """Timed coroutine: server-local insert (charged core accesses)."""
-        if key == 0:
-            raise ValueError("key 0 is reserved for empty buckets")
+        bucket = pack_bucket(key, value)
         core = self.session.core
         space = self.session.space
-        index = _bucket_index(key, self.num_buckets)
         for probe in range(self.num_buckets):
-            slot = (index + probe) % self.num_buckets
+            slot = probe_slot(key, probe, self.num_buckets)
             raw = yield from core.mem_read(space, self._bucket_vaddr(slot),
                                            BUCKET_BYTES)
-            existing_key, _ = _unpack_bucket(raw)
+            existing_key, _ = unpack_bucket(raw)
             if existing_key in (0, key):
                 if existing_key == 0:
                     self.entries += 1
                 yield from core.mem_write(space, self._bucket_vaddr(slot),
-                                          _pack_bucket(key, value))
+                                          bucket)
                 return slot
         raise RuntimeError("hash table full")
 
@@ -168,19 +137,28 @@ class KVClient:
         round trips per GET for; linear probing keeps chains short at
         moderate load factors.
         """
-        sim = self.session.core.sim
-        start = sim.now
-        index = _bucket_index(key, self.num_buckets)
-        result = None
-        for probe in range(self.max_probes):
-            slot = (index + probe) % self.num_buckets
-            offset = self.table_offset + slot * BUCKET_BYTES
+        def read_line(probe: int, offset: int):
             lbuf = self._bounce + probe * BUCKET_BYTES
             yield from self.session.read_sync(self.server_nid, offset,
                                               lbuf, BUCKET_BYTES)
+            return self.session.buffer_peek(lbuf, BUCKET_BYTES)
+
+        return (yield from self._walk_chain(key, read_line))
+
+    def _walk_chain(self, key: int, read_line):
+        """Timed coroutine: walk ``key``'s probe chain, fetching each
+        bucket line with ``read_line(probe, offset)``, until a hit, an
+        empty bucket, or ``max_probes``."""
+        sim = self.session.core.sim
+        start = sim.now
+        result = None
+        for probe in range(self.max_probes):
+            offset = (self.table_offset
+                      + probe_slot(key, probe, self.num_buckets)
+                      * BUCKET_BYTES)
+            raw = yield from read_line(probe, offset)
             self.stats.probes += 1
-            found_key, value = _unpack_bucket(
-                self.session.buffer_peek(lbuf, BUCKET_BYTES))
+            found_key, value = unpack_bucket(raw)
             if found_key == key:
                 result = value
                 self.stats.hits += 1
@@ -200,7 +178,7 @@ class KVClient:
             self.server_nid, offset, scratch, compare=key, swap=key)
         if observed not in (0, key):
             return False
-        self.session.buffer_poke(scratch, _pack_bucket(key, value))
+        self.session.buffer_poke(scratch, pack_bucket(key, value))
         yield from self.session.write_sync(self.server_nid, offset,
                                            scratch, BUCKET_BYTES)
         return True
@@ -276,7 +254,7 @@ class ReplicatedKVServer(KVServer):
         (the ack point — nothing acked here can be lost to one crash)."""
         slot = yield from self.put_timed(key, value)
         offset = self.table_offset + slot * BUCKET_BYTES
-        self.session.buffer_poke(self._scratch, _pack_bucket(key, value))
+        self.session.buffer_poke(self._scratch, pack_bucket(key, value))
         for backup in self.backups:
             yield from self.session.write_sync(backup, offset,
                                                self._scratch, BUCKET_BYTES)
@@ -322,7 +300,7 @@ class CodedKVServer(KVServer):
         PUT survives the primary plus any ``m`` backups."""
         slot = yield from self.put_timed(key, value)
         offset = self.table_offset + slot * BUCKET_BYTES
-        shards = self.code.encode(_pack_bucket(key, value))
+        shards = self.code.encode(pack_bucket(key, value))
         for shard, backup in zip(shards, self.backups):
             self.session.buffer_poke(self._scratch, shard)
             yield from self.session.write_sync(backup, offset,
@@ -518,22 +496,5 @@ class FailoverKVClient(KVClient):
     def _get_degraded(self, key: int):
         """Timed coroutine: the GET probe chain, each bucket line
         reconstructed from coded backup shards."""
-        sim = self.session.core.sim
-        start = sim.now
-        index = _bucket_index(key, self.num_buckets)
-        result = None
-        for probe in range(self.max_probes):
-            slot = (index + probe) % self.num_buckets
-            offset = self.table_offset + slot * BUCKET_BYTES
-            raw = yield from self._read_bucket_degraded(offset)
-            self.stats.probes += 1
-            found_key, value = _unpack_bucket(raw)
-            if found_key == key:
-                result = value
-                self.stats.hits += 1
-                break
-            if found_key == 0:
-                break  # empty bucket terminates the probe chain
-        self.stats.gets += 1
-        self.stats.get_latency.record(sim.now - start)
-        return result
+        return (yield from self._walk_chain(
+            key, lambda probe, offset: self._read_bucket_degraded(offset)))

@@ -24,20 +24,15 @@ the RMC and the final ranks are checked against the untimed reference.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace as _dc_replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..baselines.shm import build_shm_node
 from ..cluster.cluster import Cluster, ClusterConfig
+from ..cluster.scenario import check_finished, paired_config, run_scenario
 from ..runtime.barrier import Barrier
 from ..runtime.qp_api import RMCSession
-from ..sim import (
-    PartitionPlan,
-    Simulator,
-    default_transport,
-    plan_from_spec,
-    run_partitioned,
-)
+from ..sim import PartitionPlan, Simulator
 from ..telemetry import merge_snapshots, snapshot
 from .graph import Graph, Partition, partition_random
 
@@ -306,30 +301,27 @@ def _bulk_worker(setup: _SoNUMASetup, node_id: int, num_nodes: int,
     yield from barrier.wait()
 
 
-def _paired_config(cluster_config: Optional[ClusterConfig],
-                   num_nodes: int) -> ClusterConfig:
-    """The caller's config upgraded to paired flow control (required by
-    the partition cut; see fabric.partition)."""
-    config = cluster_config or ClusterConfig(num_nodes=num_nodes)
-    if config.fabric.flow_control != "paired":
-        config = _dc_replace(
-            config, fabric=_dc_replace(config.fabric,
-                                       flow_control="paired"))
-    return config
+def _partitioned(workers: Optional[int], partition) -> bool:
+    """Whether a run goes to the parallel engine: an explicit plan, or
+    more than one worker (a ``partition`` spec string alone does not)."""
+    return isinstance(partition, PartitionPlan) or (workers or 1) > 1
 
 
-def _run_partitioned_pagerank(variant: str, worker_fn, graph: Graph,
-                              num_nodes: int, supersteps: int,
-                              timing: PageRankTiming,
-                              cluster_config: Optional[ClusterConfig],
-                              seed: int, plan, transport: Optional[str],
-                              num_parts: Optional[int] = None
-                              ) -> PageRankResult:
-    config = _paired_config(cluster_config, num_nodes)
+def _run_pagerank(variant: str, worker_fn, graph: Graph, num_nodes: int,
+                  supersteps: int, timing: PageRankTiming,
+                  cluster_config: Optional[ClusterConfig], seed: int,
+                  workers: Optional[int], partition,
+                  transport: Optional[str]) -> PageRankResult:
+    """One ``worker_fn`` per node, serially on ``cluster_config`` or —
+    with an explicit plan or ``workers > 1`` — on the parallel engine
+    with the config upgraded to paired flow control."""
+    partitioned = _partitioned(workers, partition)
+    config = (paired_config(cluster_config, num_nodes) if partitioned
+              else cluster_config)
 
-    def build(rank: int, build_plan: PartitionPlan):
+    def build(rank: int, plan: Optional[PartitionPlan]):
         setup = _SoNUMASetup(graph, num_nodes, config, seed,
-                             partition_plan=build_plan, rank=rank)
+                             partition_plan=plan, rank=rank)
         sim = setup.cluster.sim
         remote_reads = [0]
         procs = [
@@ -340,24 +332,23 @@ def _run_partitioned_pagerank(variant: str, worker_fn, graph: Graph,
         ]
 
         def finalize():
-            for proc in procs:
-                if not proc.triggered:
-                    raise RuntimeError(
-                        f"{proc.name} did not finish (deadlock?)")
-                if not proc.ok:
-                    raise proc.value
+            check_finished(procs)
             return {"ranks": setup.collect_ranks(supersteps % 2),
                     "remote_reads": remote_reads[0],
                     "snapshot": snapshot(setup.cluster)}
 
         return sim, setup.cluster.fabric, finalize
 
-    if isinstance(plan, str):
-        plan = plan_from_spec(plan, build, num_nodes,
-                              num_parts or num_nodes)
-    if transport is None:
-        transport = default_transport(plan.num_parts)
-    run = run_partitioned(build, plan, transport=transport)
+    if not partitioned:
+        sim, _fabric, finalize = build(0, None)
+        sim.run()
+        part = finalize()
+        return PageRankResult(
+            variant=f"sonuma-{variant}", parallelism=num_nodes,
+            supersteps=supersteps, elapsed_ns=sim.now, ranks=part["ranks"],
+            remote_reads=part["remote_reads"], telemetry=part["snapshot"])
+    run = run_scenario(build, num_nodes, workers, partition or "contiguous",
+                       transport)
     parts = [run.results[r] for r in sorted(run.results)]
     # Vertex ownership is disjoint across workers, so the per-worker
     # rank lists (0.0 for unowned vertices) sum element-wise.
@@ -372,20 +363,6 @@ def _run_partitioned_pagerank(variant: str, worker_fn, graph: Graph,
         supersteps=supersteps, elapsed_ns=run.final_time, ranks=ranks,
         remote_reads=sum(p["remote_reads"] for p in parts),
         telemetry=merged)
-
-
-def _resolve_plan(num_nodes: int, workers: Optional[int], partition):
-    """A concrete plan, a deferred spec string ("adaptive"/"contiguous",
-    resolved once the builder exists), or None for the serial path."""
-    if isinstance(partition, PartitionPlan):
-        return partition
-    if isinstance(partition, str):
-        if workers is None or workers <= 1:
-            return None
-        return partition
-    if workers is not None and workers > 1:
-        return PartitionPlan.contiguous(num_nodes, workers)
-    return None
 
 
 def run_sonuma_bulk(graph: Graph, num_nodes: int, supersteps: int = 1,
@@ -404,28 +381,9 @@ def run_sonuma_bulk(graph: Graph, num_nodes: int, supersteps: int = 1,
     (profiled load-aware cut); ``transport=None`` picks the fastest
     available (shm > process > inline).
     """
-    plan = _resolve_plan(num_nodes, workers, partition)
-    if plan is not None:
-        return _run_partitioned_pagerank(
-            "bulk", _bulk_worker, graph, num_nodes, supersteps, timing,
-            cluster_config, seed, plan, transport, num_parts=workers)
-    setup = _SoNUMASetup(graph, num_nodes, cluster_config, seed)
-    sim = setup.cluster.sim
-    remote_reads = [0]
-    start = sim.now
-    procs = [sim.process(_bulk_worker(setup, n, num_nodes, supersteps,
-                                      timing, remote_reads),
-                         name=f"pagerank.bulk{n}")
-             for n in range(num_nodes)]
-    sim.run()
-    for proc in procs:
-        if not proc.ok:  # pragma: no cover
-            raise proc.value
-    return PageRankResult(variant="sonuma-bulk", parallelism=num_nodes,
-                          supersteps=supersteps, elapsed_ns=sim.now - start,
-                          ranks=setup.collect_ranks(supersteps % 2),
-                          remote_reads=remote_reads[0],
-                          telemetry=snapshot(setup.cluster))
+    return _run_pagerank("bulk", _bulk_worker, graph, num_nodes, supersteps,
+                         timing, cluster_config, seed, workers, partition,
+                         transport)
 
 
 # ---------------------------------------------------------------------------
@@ -512,25 +470,6 @@ def run_sonuma_fine(graph: Graph, num_nodes: int, supersteps: int = 1,
     results, one worker process per partition. ``partition`` and
     ``transport`` as in :func:`run_sonuma_bulk`.
     """
-    plan = _resolve_plan(num_nodes, workers, partition)
-    if plan is not None:
-        return _run_partitioned_pagerank(
-            "fine", _fine_worker, graph, num_nodes, supersteps, timing,
-            cluster_config, seed, plan, transport, num_parts=workers)
-    setup = _SoNUMASetup(graph, num_nodes, cluster_config, seed)
-    sim = setup.cluster.sim
-    remote_reads = [0]
-    start = sim.now
-    procs = [sim.process(_fine_worker(setup, n, num_nodes, supersteps,
-                                      timing, remote_reads),
-                         name=f"pagerank.fine{n}")
-             for n in range(num_nodes)]
-    sim.run()
-    for proc in procs:
-        if not proc.ok:  # pragma: no cover
-            raise proc.value
-    return PageRankResult(variant="sonuma-fine", parallelism=num_nodes,
-                          supersteps=supersteps, elapsed_ns=sim.now - start,
-                          ranks=setup.collect_ranks(supersteps % 2),
-                          remote_reads=remote_reads[0],
-                          telemetry=snapshot(setup.cluster))
+    return _run_pagerank("fine", _fine_worker, graph, num_nodes, supersteps,
+                         timing, cluster_config, seed, workers, partition,
+                         transport)

@@ -12,7 +12,7 @@ client population over pipelined, doorbell-batched sessions.
 
 Like the other harnesses (:func:`~repro.apps.kv_harness.run_kv_failover`,
 BSP), the same scenario runs serially or split across worker processes
-with :func:`~repro.sim.parallel.run_partitioned`. Everything the
+with :func:`~repro.cluster.scenario.run_scenario`. Everything the
 ``outcome`` dict reports is a pure function of the arguments: the trace
 is regenerated identically on every rank, table preloads are
 deterministic, membership transitions replay from the replicated fault
@@ -23,17 +23,15 @@ chaos runs that crash a shard primary mid-trace.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
-from ..apps.bsp import _paired_cluster_config
-from ..apps.kvstore import BUCKET_BYTES, _bucket_index, _pack_bucket
-from ..cluster.cluster import Cluster, ClusterConfig
-from ..fabric.faults import FaultInjector
+from ..apps.kvlayout import BUCKET_BYTES, build_table
+from ..cluster.cluster import ClusterConfig
+from ..cluster.scenario import (LinkFlaps, ScenarioCluster, merge_outcomes,
+                                paired_config, probe_deadline, run_scenario)
 from ..node.node import NodeConfig
 from ..rmc.rmc import RMCConfig
 from ..runtime.qp_api import RMCSession
-from ..sim import (Simulator, default_transport, plan_from_spec,
-                   run_partitioned)
 from ..telemetry import LogLinearHistogram
 from ..transport import (DegradationTimeline, HealthConfig, MemoryStore,
                          TransportStack, build_transport)
@@ -49,30 +47,6 @@ _SERVING_CTX = 3
 
 #: Node 0 is the front end; node ``1 + s`` is shard ``s``'s primary.
 SERVING_CLIENT = 0
-
-
-def _build_table(keys_values: Dict[int, bytes], num_buckets: int,
-                 max_probes: int) -> bytes:
-    """Materialize one shard's table bytes (linear probing, the same
-    layout :meth:`KVServer.put_local` produces) — a pure function so
-    every rank preloads identical replicas."""
-    table = bytearray(num_buckets * BUCKET_BYTES)
-    for key in sorted(keys_values):
-        index = _bucket_index(key, num_buckets)
-        for probe in range(num_buckets):
-            if probe >= max_probes:
-                raise ValueError(
-                    f"key {key} needs probe {probe} >= max_probes="
-                    f"{max_probes}; raise num_buckets or max_probes")
-            slot = (index + probe) % num_buckets
-            at = slot * BUCKET_BYTES
-            if table[at:at + 8] == b"\x00" * 8:
-                table[at:at + BUCKET_BYTES] = _pack_bucket(
-                    key, keys_values[key])
-                break
-        else:
-            raise RuntimeError("shard table full")
-    return bytes(table)
 
 
 def run_serving(num_shards: int = 2,
@@ -173,13 +147,13 @@ def run_serving(num_shards: int = 2,
     shard_keys = {s: {} for s in range(num_shards)}
     for key, value in expected.items():
         shard_keys[shard_map.shard_of(key)][key] = value
-    tables = {s: _build_table(shard_keys[s], num_buckets, max_probes)
+    tables = {s: build_table(shard_keys[s], num_buckets, max_probes)
               for s in range(num_shards)}
 
-    schedule: Sequence[Tuple] = ()
+    crashes = ()
     if crash_shard is not None:
-        schedule = ((shard_map.shard_nodes[crash_shard], crash_at_ns,
-                     restart_after_ns),)
+        crashes = ((shard_map.shard_nodes[crash_shard], crash_at_ns,
+                    restart_after_ns),)
 
     # A flapping fabric needs snappy error completions (the stock
     # 100 us retransmit budget would outlast the whole trace); explicit
@@ -194,49 +168,34 @@ def run_serving(num_shards: int = 2,
         rmc_kwargs["max_retries"] = max_retries
     elif failover is not None:
         rmc_kwargs["max_retries"] = 1
-    config = _paired_cluster_config(
-        ClusterConfig(num_nodes=num_nodes,
-                      node=NodeConfig(rmc=RMCConfig(**rmc_kwargs))),
-        num_nodes)
 
-    flap_end = 0.0
-    if flap_at_ns is not None and flap_cycles:
-        flap_end = (flap_at_ns + (flap_cycles - 1) * flap_period_ns
-                    + flap_down_ns)
-    probe_until = max(duration_ns, flap_end) + 30_000.0
+    flaps = None
+    if flap_at_ns is not None:
+        flaps = LinkFlaps(hub=SERVING_CLIENT, start_ns=flap_at_ns,
+                          cycles=flap_cycles, period_ns=flap_period_ns,
+                          down_ns=flap_down_ns)
+    probe_until = probe_deadline(duration_ns, flaps)
+    # Each holder node gets its shard tables at the per-shard region
+    # offset (identical geometry on every replica, so one bucket offset
+    # works against any of them).
+    preload = [(nid, s * region_bytes, tables[s])
+               for s in range(num_shards)
+               for nid in shard_map.replica_nodes(s)]
+    setup = ScenarioCluster(
+        config=paired_config(
+            ClusterConfig(num_nodes=num_nodes,
+                          node=NodeConfig(rmc=RMCConfig(**rmc_kwargs))),
+            num_nodes),
+        ctx_id=_SERVING_CTX, segment_size=segment_size,
+        hb_interval_ns=hb_interval_ns, lease_ns=lease_ns,
+        fault_seed=fault_seed,
+        qps_per_node=num_shards + (1 if failover is not None else 0),
+        crashes=crashes, flaps=flaps, preload=preload)
 
     def build(rank, plan):
-        sim = Simulator()
-        cluster = Cluster(sim=sim, config=config, partition=plan,
-                          rank=rank)
-        membership = cluster.enable_membership(interval_ns=hb_interval_ns,
-                                               lease_ns=lease_ns)
-        controller = cluster.fault_controller(seed=fault_seed)
-        for victim, at_ns, restart in schedule:
-            controller.schedule_crash(victim, at_ns=at_ns,
-                                      restart_after_ns=restart)
-        if flap_at_ns is not None:
-            # Replicated identically on every rank: the partitioned
-            # crossbar re-checks reachability at frame delivery.
-            injector = FaultInjector(seed=fault_seed,
-                                     per_link_streams=True)
-            cluster.fabric.install_fault_injector(injector)
-            for cycle in range(flap_cycles):
-                at = flap_at_ns + cycle * flap_period_ns
-                for nid in range(1, num_nodes):
-                    injector.flap_link(SERVING_CLIENT, nid, after_ns=at,
-                                       down_ns=flap_down_ns)
-        qps_per_node = num_shards + (1 if failover is not None else 0)
-        gctx = cluster.create_global_context(_SERVING_CTX, segment_size,
-                                             qps_per_node=qps_per_node)
-        # Untimed preload: each holder node gets its shard tables at
-        # the per-shard region offset (identical geometry on every
-        # replica, so one bucket offset works against any of them).
-        for s in range(num_shards):
-            for nid in shard_map.replica_nodes(s):
-                if nid in cluster.nodes:
-                    cluster.poke_segment(nid, _SERVING_CTX,
-                                         s * region_bytes, tables[s])
+        cluster, gctx = setup.instantiate(rank, plan)
+        sim = cluster.sim
+        membership = cluster.membership
         out = {}
         clients: List[PipelinedShardClient] = []
 
@@ -253,9 +212,8 @@ def run_serving(num_shards: int = 2,
                     node.core, gctx.qp(SERVING_CLIENT, index=num_shards),
                     gctx.entry(SERVING_CLIENT))
                 store = MemoryStore()
-                for s in range(num_shards):
-                    for nid in shard_map.replica_nodes(s):
-                        store.write(nid, s * region_bytes, tables[s])
+                for nid, offset, data in preload:
+                    store.write(nid, offset, data)
                 transports = [
                     build_transport(name, sim, store, seed=seed,
                                     session=probe_session)
@@ -323,11 +281,7 @@ def run_serving(num_shards: int = 2,
 
         return sim, cluster.fabric, finalize
 
-    plan = plan_from_spec(partition, build, num_nodes,
-                          min(int(workers) or 1, num_nodes))
-    transport = transport or default_transport(plan.num_parts)
-    run = run_partitioned(build, plan, transport=transport)
-
+    run = run_scenario(build, num_nodes, workers, partition, transport)
     merged = {
         "final_time": run.final_time,
         "num_shards": num_shards,
@@ -337,28 +291,11 @@ def run_serving(num_shards: int = 2,
         "distinct_clients": len({r.client_id for r in trace}),
         "trace_digest": digest,
         "shard_map_version": shard_map.version,
+        **merge_outcomes(run.results),
     }
-    for part in run.results.values():
-        for field in ("shards", "latency", "served", "failed",
-                      "availability", "wrong", "doorbells", "posted",
-                      "served_mops", "degraded_reads", "transport",
-                      "timeline"):
-            if field in part:
-                merged[field] = part[field]
-        # Replicated control-plane state: identical on every rank.
-        merged["membership"] = part["membership"]
     if "served" in merged \
             and merged["served"] + merged["failed"] != len(trace):
         raise RuntimeError(
             f"served {merged['served']} + failed {merged['failed']} != "
             f"{len(trace)} requests: the serve loop dropped arrivals")
-    return {
-        "outcome": merged,
-        "perf": {
-            "transport": run.transport,
-            "workers": plan.num_parts,
-            "rounds": run.rounds,
-            "wall_s": run.wall_s,
-            "engine": run.engine_stats(),
-        },
-    }
+    return {"outcome": merged, "perf": run.perf()}

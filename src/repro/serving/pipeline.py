@@ -31,8 +31,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, List, Optional, Sequence
 
-from ..apps.kvstore import (AvailabilityStats, BUCKET_BYTES, KVStats,
-                            _unpack_bucket)
+from ..apps.kvlayout import BUCKET_BYTES, probe_slot, unpack_bucket
+from ..apps.kvstore import AvailabilityStats, KVStats
 from ..runtime.qp_api import RemoteOpFailed, RMCSession
 from ..telemetry import LogLinearHistogram
 
@@ -118,10 +118,8 @@ class PipelinedShardClient:
         return False
 
     def _bucket_offset(self, key: int, probe: int) -> int:
-        from ..apps.kvstore import _bucket_index
-        slot = (_bucket_index(key, self.num_buckets) + probe) \
-            % self.num_buckets
-        return self.table_offset + slot * BUCKET_BYTES
+        return (self.table_offset
+                + probe_slot(key, probe, self.num_buckets) * BUCKET_BYTES)
 
     # -- the serve loop -------------------------------------------------------
 
@@ -205,7 +203,7 @@ class PipelinedShardClient:
                     raw = self.session.buffer_peek(
                         self._bounce + flight.buf_slot * BUCKET_BYTES,
                         BUCKET_BYTES)
-                    found_key, value = _unpack_bucket(raw)
+                    found_key, value = unpack_bucket(raw)
                     if found_key == flight.request.key:
                         self._finish_ok(flight, value)
                     elif found_key == 0 \
@@ -284,7 +282,7 @@ class PipelinedShardClient:
                     stack.note_result(index, False)
                     continue
                 stack.note_result(index, True)
-                found_key, value = _unpack_bucket(raw)
+                found_key, value = unpack_bucket(raw)
                 if found_key == flight.request.key:
                     pass
                 elif found_key != 0 and probe + 1 < self.max_probes:

@@ -435,6 +435,15 @@ class PartitionedRun:
                 p.get("eager_events", 0) for p in self.partitions),
         }
 
+    def perf(self) -> Dict[str, object]:
+        """The wall-clock side of a scenario run: transport, worker
+        count, coordinator rounds, wall seconds, engine accounting."""
+        return {"transport": self.transport,
+                "workers": len(self.partitions),
+                "rounds": self.rounds,
+                "wall_s": self.wall_s,
+                "engine": self.engine_stats()}
+
 
 # -- worker side ----------------------------------------------------------
 

@@ -253,7 +253,10 @@ def merge_snapshots(parts: List[ClusterSnapshot],
     destination's rank, drops and injector decisions at the source's),
     so fabric counters *sum* to the serial run's values and the node
     lists are disjoint — concatenation sorted by id reproduces the
-    serial snapshot bit for bit. ``engine_stats`` (typically
+    serial snapshot bit for bit. Membership stats are replicated state
+    (every rank replays the same scheduled transitions), so they carry
+    through as-is; two ranks reporting different non-empty stats raise
+    ``ValueError``. ``engine_stats`` (typically
     ``PartitionedRun.engine_stats()``) is attached verbatim.
     """
     if not parts:
@@ -261,14 +264,21 @@ def merge_snapshots(parts: List[ClusterSnapshot],
     nodes = sorted((n for p in parts for n in p.nodes),
                    key=lambda n: n.node_id)
     fabric: Dict[str, int] = {}
+    membership: Dict[str, float] = {}
     for part in parts:
         for key, value in part.fabric_stats.items():
             fabric[key] = fabric.get(key, 0) + value
+        if part.membership_stats:
+            if membership and part.membership_stats != membership:
+                raise ValueError(
+                    f"ranks disagree on replicated membership stats: "
+                    f"{part.membership_stats} != {membership}")
+            membership = part.membership_stats
     return ClusterSnapshot(
         time_ns=max(p.time_ns for p in parts),
         nodes=nodes,
         fabric_stats=fabric,
-        membership_stats={},
+        membership_stats=membership,
         engine_stats=engine_stats or {},
     )
 

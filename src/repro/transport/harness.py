@@ -9,7 +9,7 @@ it, the policy fails the session over, and on restore it fails back
 and catch-up-replays the degraded-era writes onto the real segments.
 
 Like :func:`~repro.serving.harness.run_serving`, the same scenario
-runs serially or under :func:`~repro.sim.parallel.run_partitioned`
+runs serially or under :func:`~repro.cluster.scenario.run_scenario`
 with a bit-identical outcome at any worker count: the op trace, flap
 schedule, and expected final segment digests are pure functions of the
 arguments; all failover-session activity lives on the front end's
@@ -31,14 +31,12 @@ import hashlib
 import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..apps.bsp import _paired_cluster_config
-from ..cluster.cluster import Cluster, ClusterConfig
-from ..fabric.faults import FaultInjector
+from ..cluster.cluster import ClusterConfig
+from ..cluster.scenario import (LinkFlaps, ScenarioCluster, merge_outcomes,
+                                paired_config, probe_deadline, run_scenario)
 from ..node.node import NodeConfig
 from ..rmc.rmc import RMCConfig
 from ..runtime.qp_api import RMCSession
-from ..sim import (Simulator, default_transport, plan_from_spec,
-                   run_partitioned)
 from ..vm.address import PAGE_SIZE
 from .base import MemoryStore, build_transport
 from .health import DegradationTimeline, HealthConfig
@@ -158,44 +156,34 @@ def run_failover(num_nodes: int = 4,
                if kind == "write"}
     segment_size = -(-region_bytes // PAGE_SIZE) * PAGE_SIZE
 
-    flap_end = (flap_start_ns + (flap_cycles - 1) * flap_period_ns
-                + flap_down_ns if flap_cycles else 0.0)
-    probe_until = max(num_ops * gap_ns, flap_end) + 30_000.0
+    flaps = LinkFlaps(hub=FAILOVER_CLIENT, start_ns=flap_start_ns,
+                      cycles=flap_cycles, period_ns=flap_period_ns,
+                      down_ns=flap_down_ns)
+    probe_until = probe_deadline(num_ops * gap_ns, flaps)
 
     health = health or HealthConfig(probe_interval_ns=probe_interval_ns,
                                     down_after=2, up_after=2)
 
-    config = _paired_cluster_config(
-        ClusterConfig(num_nodes=num_nodes,
-                      node=NodeConfig(rmc=RMCConfig(
-                          retransmit_timeout_ns=retransmit_timeout_ns,
-                          max_retries=max_retries))),
-        num_nodes)
+    crashes = ()
+    if crash_node is not None:
+        crashes = ((crash_node, crash_at_ns, None),)
+    preload = [(nid, 0, _pattern(nid, region_bytes)) for nid in peers]
+    setup = ScenarioCluster(
+        config=paired_config(
+            ClusterConfig(num_nodes=num_nodes,
+                          node=NodeConfig(rmc=RMCConfig(
+                              retransmit_timeout_ns=retransmit_timeout_ns,
+                              max_retries=max_retries))),
+            num_nodes),
+        ctx_id=_FAILOVER_CTX, segment_size=segment_size,
+        hb_interval_ns=hb_interval_ns, lease_ns=lease_ns,
+        fault_seed=fault_seed, crashes=crashes, flaps=flaps,
+        preload=preload)
 
     def build(rank, plan):
-        sim = Simulator()
-        cluster = Cluster(sim=sim, config=config, partition=plan,
-                          rank=rank)
-        membership = cluster.enable_membership(
-            interval_ns=hb_interval_ns, lease_ns=lease_ns)
-        injector = FaultInjector(seed=fault_seed, per_link_streams=True)
-        cluster.fabric.install_fault_injector(injector)
-        for cycle in range(flap_cycles):
-            at = flap_start_ns + cycle * flap_period_ns
-            for peer in peers:
-                injector.flap_link(FAILOVER_CLIENT, peer, after_ns=at,
-                                   down_ns=flap_down_ns)
-        if crash_node is not None:
-            controller = cluster.fault_controller(seed=fault_seed)
-            controller.schedule_crash(crash_node, at_ns=crash_at_ns,
-                                      restart_after_ns=None)
-        gctx = cluster.create_global_context(_FAILOVER_CTX,
-                                             segment_size,
-                                             qps_per_node=1)
-        for nid in peers:
-            if nid in cluster.nodes:
-                cluster.poke_segment(nid, _FAILOVER_CTX, 0,
-                                     _pattern(nid, region_bytes))
+        cluster, gctx = setup.instantiate(rank, plan)
+        sim = cluster.sim
+        membership = cluster.membership
         out: dict = {}
         holder: dict = {}
 
@@ -205,8 +193,8 @@ def run_failover(num_nodes: int = 4,
                                      gctx.qp(FAILOVER_CLIENT),
                                      gctx.entry(FAILOVER_CLIENT))
             store = MemoryStore()
-            for nid in peers:
-                store.write(nid, 0, _pattern(nid, region_bytes))
+            for nid, offset, data in preload:
+                store.write(nid, offset, data)
             transports = [
                 build_transport(name, sim, store, seed=seed,
                                 session=rmc_session,
@@ -286,11 +274,7 @@ def run_failover(num_nodes: int = 4,
 
         return sim, cluster.fabric, finalize
 
-    plan = plan_from_spec(partition, build, num_nodes,
-                          min(int(workers) or 1, num_nodes))
-    chosen = transport or default_transport(plan.num_parts)
-    run = run_partitioned(build, plan, transport=chosen)
-
+    run = run_scenario(build, num_nodes, workers, partition, transport)
     merged: dict = {
         "final_time": run.final_time,
         "num_ops": num_ops,
@@ -300,26 +284,12 @@ def run_failover(num_nodes: int = 4,
         "backends": list(backends),
         "flap_cycles": flap_cycles,
         "expected": expected,
-        "segments": {},
+        **merge_outcomes(run.results),
     }
-    for part in run.results.values():
-        merged["segments"].update(part.pop("segments", {}))
-        merged["membership"] = part.pop("membership")
-        for key, value in part.items():
-            merged[key] = value
     if "exactly_once" in merged:
         eo = merged["exactly_once"]
         if eo["issued"] != num_ops:
             raise RuntimeError(
                 f"workload issued {eo['issued']} of {num_ops} ops: "
                 "the drive loop dropped work")
-    return {
-        "outcome": merged,
-        "perf": {
-            "transport": run.transport,
-            "workers": plan.num_parts,
-            "rounds": run.rounds,
-            "wall_s": run.wall_s,
-            "engine": run.engine_stats(),
-        },
-    }
+    return {"outcome": merged, "perf": run.perf()}

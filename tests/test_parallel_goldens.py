@@ -22,6 +22,7 @@ from repro.apps.bfs import bfs_reference, run_bfs_push
 from repro.apps.graph import zipf_graph
 from repro.apps.pagerank import run_sonuma_bulk, run_sonuma_fine
 from repro.cluster.cluster import Cluster, ClusterConfig
+from repro.cluster.scenario import ScenarioCluster, run_scenario
 from repro.fabric.faults import FaultInjector, FaultPolicy
 from repro.fabric.ni import FabricConfig
 from repro.runtime.qp_api import RMCSession, RemoteOpFailed
@@ -43,6 +44,7 @@ def _assert_snapshots_equal(got, want):
     assert got.time_ns == want.time_ns
     assert got.nodes == want.nodes
     assert got.fabric_stats == want.fabric_stats
+    assert got.membership_stats == want.membership_stats
 
 
 class TestPageRankGoldens:
@@ -307,3 +309,41 @@ class TestChaosGolden:
         assert timeline == base_tl
         assert counts == base_counts
         _assert_snapshots_equal(snap, base_snap)
+
+
+# ---------------------------------------------------------------------------
+# Membership: a crash evicts the victim, its restart rejoins it
+# ---------------------------------------------------------------------------
+
+MEMBERSHIP_SETUP = ScenarioCluster(
+    config=_paired_config(), ctx_id=1, segment_size=4096,
+    hb_interval_ns=2_000.0, lease_ns=6_000.0, fault_seed=CHAOS_SEED,
+    crashes=((VICTIM, CRASH_AT, 10_000.0),))
+
+
+def _membership_build(rank, plan):
+    """Membership services are daemons: a ticker keeps every rank's
+    clock running to the horizon so the eviction and rejoin land."""
+    cluster, _gctx = MEMBERSHIP_SETUP.instantiate(rank, plan)
+    sim = cluster.sim
+
+    def ticker():
+        while sim.now < HORIZON:
+            yield sim.timeout(500.0)
+
+    sim.process(ticker(), name="ticker")
+    return sim, cluster.fabric, lambda: snapshot(cluster)
+
+
+def _run_membership(workers):
+    run = run_scenario(_membership_build, NODES, workers, "contiguous",
+                       "inline")
+    return merge_snapshots([run.results[r] for r in sorted(run.results)])
+
+
+class TestMembershipGolden:
+    def test_merged_membership_stats_match_serial(self):
+        serial = _run_membership(1)
+        assert serial.membership_stats["evictions"] == 1
+        assert serial.membership_stats["rejoins"] == 1
+        _assert_snapshots_equal(_run_membership(2), serial)

@@ -8,10 +8,10 @@ restores the exact pre-add placement (consistent hashing is
 history-free: the surviving tokens never moved).
 """
 
-from repro.apps.kvstore import BUCKET_BYTES, _bucket_index, _unpack_bucket
+from repro.apps.kvlayout import (BUCKET_BYTES, build_table, probe_slot,
+                                 unpack_bucket)
 from repro.cluster import Cluster, ClusterConfig
 from repro.runtime import RMCSession
-from repro.serving.harness import _build_table
 from repro.serving.hashring import ShardMap
 from repro.serving.loadgen import value_of_key
 from repro.vm import PAGE_SIZE
@@ -61,11 +61,11 @@ class TestMidTraceRebalance:
         for s in range(3):
             cluster.poke_segment(
                 1 + s, CTX, s * REGION,
-                _build_table(keyset[s], NUM_BUCKETS, MAX_PROBES))
+                build_table(keyset[s], NUM_BUCKETS, MAX_PROBES))
         joining = {k: expected[k] for k in moved}
         cluster.poke_segment(
             4, CTX, 3 * REGION,
-            _build_table(joining, NUM_BUCKETS, MAX_PROBES))
+            build_table(joining, NUM_BUCKETS, MAX_PROBES))
 
         session = RMCSession(cluster.nodes[0].core, gctx.qp(0),
                              gctx.entry(0))
@@ -76,12 +76,11 @@ class TestMidTraceRebalance:
             shard, nodes = shard_map.route(key)
             base = shard * REGION
             for probe in range(MAX_PROBES):
-                slot = (_bucket_index(key, NUM_BUCKETS) + probe) \
-                    % NUM_BUCKETS
+                slot = probe_slot(key, probe, NUM_BUCKETS)
                 yield from session.read_sync(
                     nodes[0], base + slot * BUCKET_BYTES, scratch,
                     BUCKET_BYTES)
-                found, value = _unpack_bucket(
+                found, value = unpack_bucket(
                     session.buffer_peek(scratch, BUCKET_BYTES))
                 if found == key:
                     return value
