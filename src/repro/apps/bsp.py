@@ -213,12 +213,6 @@ class BSPEngine:
             for r in range(self.num_nodes) if r != node_id
         }
 
-    @staticmethod
-    def _raise_errors(session: RMCSession) -> None:
-        if session.errors:
-            entry = session.errors[0]
-            raise RemoteOpFailed(entry.wq_index, entry.error)
-
     def _superstep(self, program: VertexProgram, node_id: int,
                    session: RMCSession, mirrors: Dict[int, int],
                    partition_home: Dict[int, Tuple[int, int]], step: int,
@@ -246,7 +240,7 @@ class BSPEngine:
             yield from session.read_async(home, base, mirrors[r], nbytes)
             remote_reads[0] += 1
         yield from session.drain_cq()
-        self._raise_errors(session)   # never compute on stale mirrors
+        session.raise_errors()   # never compute on stale mirrors
 
         read_at = step % 2
         write_off = 8 * ((step + 1) % 2)
@@ -629,7 +623,7 @@ class FaultTolerantBSPEngine(BSPEngine):
             succ, self.peer_ckpt_base + slot * self.part_stride,
             seg_base, nbytes)
         yield from session.drain_cq()
-        self._raise_errors(session)
+        session.raise_errors()
         session.buffer_poke(hdr_buf, progress.to_bytes(8, "little"))
         yield from session.write_sync(
             succ, self.peer_hdr_base + slot * 64, hdr_buf, 8)

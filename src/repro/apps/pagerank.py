@@ -278,6 +278,7 @@ def _bulk_worker(setup: _SoNUMASetup, node_id: int, num_nodes: int,
             yield from session.read_async(p, 0, mirrors[p], nbytes)
             remote_reads[0] += 1
         yield from session.drain_cq()
+        session.raise_errors()   # never compute on a missing mirror
 
         read_at = step % 2
         for v in mine:
@@ -445,6 +446,9 @@ def _fine_worker(setup: _SoNUMASetup, node_id: int, num_nodes: int,
                         callback=on_complete)
                     remote_reads[0] += 1
         yield from session.drain_cq(on_complete)
+        # on_complete skips error completions: never write back a rank
+        # that misses a contribution.
+        session.raise_errors()
         # Write back every owned vertex's new rank (timed).
         for v in mine:
             packed = struct.pack("<d", acc[v])

@@ -16,9 +16,12 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from ..vm.address import CACHE_LINE_SIZE, line_align_down
+from ..vm.address import CACHE_LINE_SIZE
 
 __all__ = ["CacheConfig", "Cache", "EvictedLine"]
+
+#: Clears the offset bits of an address (``line_align_down``, inlined).
+_LINE_MASK = ~(CACHE_LINE_SIZE - 1)
 
 
 @dataclass(frozen=True)
@@ -74,24 +77,26 @@ class Cache:
 
     def __init__(self, config: CacheConfig):
         self.config = config
-        # set index -> OrderedDict[line_addr -> dirty_bit], LRU first.
-        self._sets: Dict[int, OrderedDict] = {
-            i: OrderedDict() for i in range(config.num_sets)
-        }
+        # Geometry as plain ints: the set index is computed on every
+        # probe, fill and invalidate.
+        self._line_size = config.line_size
+        self._num_sets = config.num_sets
+        self._ways = config.associativity
+        # set index -> OrderedDict[line_addr -> dirty_bit], LRU first;
+        # a set is created on its first fill.
+        self._sets: Dict[int, OrderedDict] = {}
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         self.writebacks = 0
         self.invalidations = 0
 
-    def _index(self, line_addr: int) -> int:
-        return (line_addr // self.config.line_size) % self.config.num_sets
-
     def probe(self, addr: int, is_write: bool = False) -> bool:
         """Look up a line; updates LRU and dirty state. True on hit."""
-        line = line_align_down(addr)
-        cache_set = self._sets[self._index(line)]
-        if line in cache_set:
+        line = addr & _LINE_MASK
+        cache_set = self._sets.get((line // self._line_size)
+                                   % self._num_sets)
+        if cache_set is not None and line in cache_set:
             cache_set.move_to_end(line)
             if is_write:
                 cache_set[line] = True
@@ -102,20 +107,24 @@ class Cache:
 
     def contains(self, addr: int) -> bool:
         """Non-perturbing lookup (no LRU update, no counters)."""
-        line = line_align_down(addr)
-        return line in self._sets[self._index(line)]
+        line = addr & _LINE_MASK
+        return line in self._sets.get((line // self._line_size)
+                                      % self._num_sets, ())
 
     def fill(self, addr: int, dirty: bool = False) -> Optional[EvictedLine]:
         """Install a line after a miss; returns the victim, if any."""
-        line = line_align_down(addr)
-        cache_set = self._sets[self._index(line)]
-        victim = None
-        if line in cache_set:
+        line = addr & _LINE_MASK
+        index = (line // self._line_size) % self._num_sets
+        cache_set = self._sets.get(index)
+        if cache_set is None:
+            cache_set = self._sets[index] = OrderedDict()
+        elif line in cache_set:
             # Already present (e.g. a racing fill); just refresh state.
             cache_set.move_to_end(line)
             cache_set[line] = cache_set[line] or dirty
             return None
-        if len(cache_set) >= self.config.associativity:
+        victim = None
+        if len(cache_set) >= self._ways:
             victim_addr, victim_dirty = cache_set.popitem(last=False)
             victim = EvictedLine(victim_addr, victim_dirty)
             self.evictions += 1
@@ -126,8 +135,11 @@ class Cache:
 
     def invalidate(self, addr: int) -> Optional[EvictedLine]:
         """Remove a line (coherence action); returns it if it was dirty."""
-        line = line_align_down(addr)
-        cache_set = self._sets[self._index(line)]
+        line = addr & _LINE_MASK
+        cache_set = self._sets.get((line // self._line_size)
+                                   % self._num_sets)
+        if cache_set is None:
+            return None
         dirty = cache_set.pop(line, None)
         if dirty is None:
             return None
@@ -136,10 +148,9 @@ class Cache:
 
     def flush(self) -> int:
         """Drop everything; returns the number of lines that were dirty."""
-        dirty_count = 0
-        for cache_set in self._sets.values():
-            dirty_count += sum(1 for d in cache_set.values() if d)
-            cache_set.clear()
+        dirty_count = sum(1 for cache_set in self._sets.values()
+                          for d in cache_set.values() if d)
+        self._sets.clear()
         return dirty_count
 
     @property

@@ -59,10 +59,17 @@ class Core:
         return self.sim.process(generator,
                                 name=name or f"core{self.core_id}.thread")
 
-    def compute(self, ns: float):
-        """Pure computation for ``ns`` nanoseconds."""
+    def compute(self, ns: float) -> float:
+        """Pure computation for ``ns`` nanoseconds: ``yield`` the result.
+
+        Returns the bare delay (the kernel's pooled fast path, no
+        :class:`~repro.sim.Timeout` object); a negative delay raises
+        ``ValueError`` here, in the calling process.
+        """
         self.instructions_retired += 1
-        return self.sim.timeout(ns)
+        if ns < 0:
+            raise ValueError(f"negative timeout delay: {ns}")
+        return ns
 
     # -- local memory operations (timed + functional) ----------------------
 

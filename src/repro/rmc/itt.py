@@ -55,6 +55,13 @@ class ITTEntry:
     retries_left: int = 0
     attempt: int = 0             # current retransmission attempt (0 = first)
     failed: bool = False         # force-failed by the watchdog
+    #: The chunk offsets as a set, for the per-reply grid check.
+    chunk_offsets: Optional[frozenset] = field(init=False, default=None)
+
+    def __post_init__(self):
+        if self.chunks is not None:
+            self.chunk_offsets = frozenset(
+                chunk_offset for chunk_offset, _ in self.chunks)
 
     @property
     def done(self) -> bool:
@@ -62,9 +69,7 @@ class ITTEntry:
 
     def covers_offset(self, offset: int) -> bool:
         """Whether a reply offset belongs to this request's line grid."""
-        if self.chunks is None:
-            return True
-        return any(offset == chunk_offset for chunk_offset, _ in self.chunks)
+        return self.chunk_offsets is None or offset in self.chunk_offsets
 
     def line_local_vaddr(self, reply_offset: int) -> int:
         """Where a reply's payload lands in the local buffer.

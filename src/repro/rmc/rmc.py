@@ -659,9 +659,13 @@ class RMC:
                                        size=len(reply.payload))
             self.mmu.write_bytes(lpaddr, reply.payload)
         # The deposit yielded: re-check that the watchdog didn't time the
-        # transaction out (or a reset recycle the tid) underneath us.
+        # transaction out (or a reset recycle the tid) underneath us, and
+        # that a retransmitted copy of this reply didn't overtake it.
         if self.itt.get(reply.tid) is not entry or entry.done:
             self.counters.incr("replies_stale")
+            return
+        if reply.offset in entry.completed_offsets:
+            self.counters.incr("replies_duplicate")
             return
         self.counters.incr("replies_handled")
 

@@ -332,6 +332,14 @@ class RMCSession:
 
     # -- failure recovery ------------------------------------------------------
 
+    def raise_errors(self) -> None:
+        """Raise :class:`RemoteOpFailed` for the first recorded error
+        completion: call it before computing on data the reaped
+        operations should have delivered."""
+        if self.errors:
+            entry = self.errors[0]
+            raise RemoteOpFailed(entry.wq_index, entry.error)
+
     def consume_errors(self) -> List[CQEntry]:
         """Return and clear the accumulated error completions.
 

@@ -230,6 +230,9 @@ class Process(Event):
                 target = self._throw(trigger.value)
         except StopIteration as stop:
             sim._active_process = None
+            # Drop the bound methods: _resume_cb would keep this
+            # finished process in a reference cycle with itself.
+            self._resume_cb = self._send = self._throw = None
             self._triggered = True
             self._ok = True
             self.value = stop.value
@@ -237,6 +240,7 @@ class Process(Event):
             return
         except BaseException as exc:
             sim._active_process = None
+            self._resume_cb = self._send = self._throw = None
             self._triggered = True
             self._ok = False
             self.value = exc
@@ -299,6 +303,10 @@ class _Condition(Event):
         super().__init__(sim)
         self.events = list(events)
         self._count = 0
+        for event in self.events:
+            if not isinstance(event, Event):
+                # E.g. the None of an immediate Resource grant.
+                raise TypeError(f"condition over a non-event: {event!r}")
         if not self.events:
             self.succeed({})
             return
@@ -431,7 +439,8 @@ class Simulator:
 
         Pooled events never escape the kernel: their ``callbacks`` stays
         ``None`` (they dispatch through the ``_cb`` slot instead) and
-        they return to the pool right after delivery.
+        they return to the pool right after delivery, with ``_cb``
+        cleared so the pool keeps no finished process alive.
         """
         pool = self._pool
         if pool:
@@ -554,7 +563,7 @@ class Simulator:
         if event._pooled:
             event._cb(event)
             if len(self._pool) < _POOL_LIMIT:
-                event.value = None
+                event.value = event._cb = None
                 self._pool.append(event)
             return
         callbacks = event.callbacks
@@ -618,7 +627,7 @@ class Simulator:
                 if event._pooled:
                     event._cb(event)
                     if len(pool) < _POOL_LIMIT:
-                        event.value = None
+                        event.value = event._cb = None
                         pool.append(event)
                     continue
                 callbacks = event.callbacks
@@ -696,7 +705,7 @@ class Simulator:
                 if event._pooled:
                     event._cb(event)
                     if len(pool) < _POOL_LIMIT:
-                        event.value = None
+                        event.value = event._cb = None
                         pool.append(event)
                     continue
                 callbacks = event.callbacks

@@ -111,9 +111,13 @@ class Store:
 class Resource:
     """Counting semaphore with FIFO grant order.
 
-    ``acquire()`` returns an event that fires when a slot is granted;
-    ``release()`` frees a slot. Used to bound concurrency (e.g. the RMC's
-    32-entry MAQ limits in-flight memory accesses).
+    ``acquire()`` grants a free slot at once and returns ``None``; when
+    every slot is taken (or others already wait) it returns an event
+    that fires when the slot is granted. Either way the caller yields
+    the result: a yielded ``None`` resumes the caller through the
+    kernel's now-queue exactly where an already-succeeded grant event
+    would. ``release()`` frees a slot. Used to bound concurrency (e.g.
+    the RMC's 32-entry MAQ limits in-flight memory accesses).
     """
 
     def __init__(self, sim: Simulator, capacity: int, name: str = ""):
@@ -131,21 +135,23 @@ class Resource:
     def available(self) -> int:
         return self.capacity - self.in_use
 
-    def acquire(self) -> Event:
-        """Request a slot; the returned event fires when granted."""
-        event = self.sim.event()
+    def acquire(self) -> Optional[Event]:
+        """Request a slot: ``None`` if granted now, else an event that
+        fires when granted. Yield the result."""
         if self.in_use < self.capacity and not self._waiters:
-            self._grant(event)
-        else:
-            self._waiters.append(event)
+            self.in_use += 1
+            self.total_acquires += 1
+            if self.in_use > self.peak_in_use:
+                self.peak_in_use = self.in_use
+            return None
+        event = Event(self.sim)
+        self._waiters.append(event)
         return event
 
     def try_acquire(self) -> bool:
         """Take a slot immediately if one is free; never blocks."""
         if self.in_use < self.capacity and not self._waiters:
-            self.in_use += 1
-            self.total_acquires += 1
-            self.peak_in_use = max(self.peak_in_use, self.in_use)
+            self.acquire()   # granted at once
             return True
         return False
 
@@ -153,16 +159,12 @@ class Resource:
         """Free a slot, granting the oldest waiter if any."""
         if self.in_use <= 0:
             raise RuntimeError(f"resource {self.name!r}: release without acquire")
-        self.in_use -= 1
         if self._waiters:
-            self._grant(self._waiters.popleft())
-
-    def _grant(self, event: Event) -> None:
-        self.in_use += 1
-        self.total_acquires += 1
-        if self.in_use > self.peak_in_use:
-            self.peak_in_use = self.in_use
-        event.succeed()
+            # The slot passes straight to the oldest waiter.
+            self.total_acquires += 1
+            self._waiters.popleft().succeed()
+        else:
+            self.in_use -= 1
 
 
 class Channel:

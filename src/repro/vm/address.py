@@ -4,13 +4,13 @@ soNUMA operates at **cache-line granularity** (64 B) over **8 KB pages**
 (Table 1 of the paper). Remote addresses are named by the triple
 ``<node_id, ctx_id, offset>``; this module provides the arithmetic for
 splitting/joining addresses, alignment, and line/page iteration used by
-the RMC's unrolling logic and the page-table walker.
+the RMC's unrolling logic and the page table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import Iterator, List
 
 __all__ = [
     "CACHE_LINE_SIZE",
@@ -26,7 +26,6 @@ __all__ = [
     "page_number",
     "page_offset",
     "lines_in_range",
-    "split_page_indices",
     "RemoteAddress",
 ]
 
@@ -90,16 +89,6 @@ def lines_in_range(addr: int, length: int) -> List[int]:
     first = line_align_down(addr)
     last = line_align_down(addr + length - 1)
     return list(range(first, last + CACHE_LINE_SIZE, CACHE_LINE_SIZE))
-
-
-def split_page_indices(vaddr: int) -> Tuple[int, ...]:
-    """Per-level page-table indices for a virtual address (root first)."""
-    vpn = page_number(vaddr)
-    indices = []
-    for level in range(PT_LEVELS):
-        shift = (PT_LEVELS - 1 - level) * PT_LEVEL_BITS
-        indices.append((vpn >> shift) & ((1 << PT_LEVEL_BITS) - 1))
-    return tuple(indices)
 
 
 @dataclass(frozen=True)

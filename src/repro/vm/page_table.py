@@ -1,11 +1,12 @@
-"""Radix page tables and the hardware page walker.
+"""Page tables and the hardware page walker.
 
 The RMC has "direct access to the page tables managed by the operating
 system" (paper §5.1) — no page-table replication into device memory. We
-model a 4-level radix table. The *structure* is a real radix tree (so the
-walker's per-level touch count is faithful), while the node storage is
-Python dicts rather than in-simulated-memory arrays; the walker charges
-one memory access per level for timing.
+model a 4-level radix table for timing: every walk touches
+``PT_LEVELS`` table nodes and the walker charges one memory access per
+level. The mapping itself is stored flat, one dict from the virtual page
+number (masked to the ``PT_LEVELS * PT_LEVEL_BITS`` bits a radix walk
+indexes) to its leaf PTE.
 
 Translation faults raise :class:`PageFault`; the RMC's RRPP turns
 out-of-segment accesses into error replies before ever reaching the page
@@ -19,13 +20,18 @@ from __future__ import annotations
 from typing import Dict, Iterator, Tuple
 
 from .address import (
+    PAGE_OFFSET_BITS,
     PAGE_SIZE,
+    PT_LEVEL_BITS,
     PT_LEVELS,
     page_offset,
-    split_page_indices,
 )
 
 __all__ = ["PageTable", "PageTableEntry", "PageFault", "PageWalker"]
+
+#: The virtual page number bits the radix levels index (higher bits of
+#: a virtual address are ignored, as by the 4-level walk).
+_VPN_MASK = (1 << (PT_LEVELS * PT_LEVEL_BITS)) - 1
 
 
 class PageFault(Exception):
@@ -56,11 +62,11 @@ class PageTableEntry:
 
 
 class PageTable:
-    """A 4-level radix page table for one address space (ASID)."""
+    """A 4-level page table for one address space (ASID)."""
 
     def __init__(self, asid: int):
         self.asid = asid
-        self._root: Dict = {}
+        self._ptes: Dict[int, PageTableEntry] = {}   # masked vpn -> PTE
         self.mapped_pages = 0
 
     def map(self, vaddr: int, frame_paddr: int, writable: bool = True,
@@ -68,52 +74,37 @@ class PageTable:
         """Install a leaf mapping for the page containing ``vaddr``."""
         if vaddr % PAGE_SIZE != 0:
             raise ValueError(f"map target {vaddr:#x} not page-aligned")
-        node = self._root
-        indices = split_page_indices(vaddr)
-        for index in indices[:-1]:
-            node = node.setdefault(index, {})
-        leaf_index = indices[-1]
-        if leaf_index in node:
+        vpn = (vaddr >> PAGE_OFFSET_BITS) & _VPN_MASK
+        if vpn in self._ptes:
             raise ValueError(f"page {vaddr:#x} already mapped")
         pte = PageTableEntry(frame_paddr, writable=writable, pinned=pinned)
-        node[leaf_index] = pte
+        self._ptes[vpn] = pte
         self.mapped_pages += 1
         return pte
 
     def unmap(self, vaddr: int) -> None:
-        """Remove the mapping for the page containing ``vaddr``."""
-        node = self._root
-        indices = split_page_indices(vaddr)
-        for index in indices[:-1]:
-            if index not in node:
-                raise PageFault(vaddr, self.asid)
-            node = node[index]
-        if indices[-1] not in node:
+        """Remove the mapping for the page containing ``vaddr``; a
+        pinned page is refused with ``ValueError`` and stays mapped."""
+        vpn = (vaddr >> PAGE_OFFSET_BITS) & _VPN_MASK
+        pte = self._ptes.get(vpn)
+        if pte is None:
             raise PageFault(vaddr, self.asid)
-        pte = node.pop(indices[-1])
         if pte.pinned:
             raise ValueError(f"cannot unmap pinned page {vaddr:#x}")
+        del self._ptes[vpn]
         self.mapped_pages -= 1
 
     def lookup(self, vaddr: int) -> Tuple[PageTableEntry, int]:
-        """Walk the radix tree; returns (pte, levels_touched).
+        """Find the leaf PTE; returns (pte, levels_touched).
 
-        ``levels_touched`` is the number of tree nodes visited, which the
-        timed :class:`PageWalker` converts into memory accesses.
+        ``levels_touched`` is the ``PT_LEVELS`` table nodes a radix walk
+        visits, which the timed :class:`PageWalker` converts into memory
+        accesses.
         """
-        node = self._root
-        levels = 0
-        indices = split_page_indices(vaddr)
-        for index in indices[:-1]:
-            levels += 1
-            if index not in node:
-                raise PageFault(vaddr, self.asid)
-            node = node[index]
-        levels += 1
-        pte = node.get(indices[-1])
+        pte = self._ptes.get((vaddr >> PAGE_OFFSET_BITS) & _VPN_MASK)
         if pte is None:
             raise PageFault(vaddr, self.asid)
-        return pte, levels
+        return pte, PT_LEVELS
 
     def translate(self, vaddr: int) -> int:
         """Virtual-to-physical translation (functional, untimed)."""
@@ -122,27 +113,13 @@ class PageTable:
 
     def is_mapped(self, vaddr: int) -> bool:
         """Whether the page containing ``vaddr`` has a valid mapping."""
-        try:
-            self.lookup(vaddr)
-            return True
-        except PageFault:
-            return False
+        return ((vaddr >> PAGE_OFFSET_BITS) & _VPN_MASK) in self._ptes
 
     def iter_mappings(self) -> Iterator[Tuple[int, PageTableEntry]]:
-        """Yield (vaddr, pte) for every mapped page (test/debug aid)."""
-
-        def walk(node: Dict, prefix: int, level: int):
-            from .address import PT_LEVEL_BITS, PAGE_OFFSET_BITS
-            for index, child in sorted(node.items()):
-                vpn_part = prefix | (
-                    index << ((PT_LEVELS - 1 - level) * PT_LEVEL_BITS)
-                )
-                if level == PT_LEVELS - 1:
-                    yield vpn_part << PAGE_OFFSET_BITS, child
-                else:
-                    yield from walk(child, vpn_part, level + 1)
-
-        yield from walk(self._root, 0, 0)
+        """Yield (vaddr, pte) for every mapped page in address order
+        (test/debug aid)."""
+        for vpn in sorted(self._ptes):
+            yield vpn << PAGE_OFFSET_BITS, self._ptes[vpn]
 
 
 class PageWalker:

@@ -14,6 +14,7 @@ segments (paper §5.1).
 
 from __future__ import annotations
 
+import mmap
 from typing import List
 
 from .address import PAGE_SIZE
@@ -26,7 +27,11 @@ class OutOfMemoryError(MemoryError):
 
 
 class PhysicalMemory:
-    """A flat byte-addressable physical memory of ``size`` bytes."""
+    """A flat byte-addressable physical memory of ``size`` bytes.
+
+    Backed by an anonymous ``mmap``: it reads as zeros and the host
+    commits a page only when it is first written.
+    """
 
     def __init__(self, size: int):
         if size <= 0 or size % PAGE_SIZE != 0:
@@ -35,12 +40,12 @@ class PhysicalMemory:
                 f"page size ({PAGE_SIZE}), got {size}"
             )
         self.size = size
-        self._data = bytearray(size)
+        self._data = mmap.mmap(-1, size)
 
     def read(self, paddr: int, length: int) -> bytes:
         """Read ``length`` bytes at physical address ``paddr``."""
         self._check_range(paddr, length)
-        return bytes(self._data[paddr:paddr + length])
+        return self._data[paddr:paddr + length]
 
     def write(self, paddr: int, data: bytes) -> None:
         """Write ``data`` at physical address ``paddr``."""

@@ -15,7 +15,11 @@ from repro.apps import (
     zipf_graph,
 )
 from repro.cluster import Cluster, ClusterConfig
-from repro.runtime import RMCSession
+from repro.fabric import FaultDecision, FaultInjector
+from repro.node import NodeConfig
+from repro.protocol import Opcode
+from repro.rmc import RMCConfig
+from repro.runtime import RemoteOpFailed, RMCSession
 from repro.vm import PAGE_SIZE
 
 
@@ -134,6 +138,32 @@ class TestPageRankVariants:
     def test_bulk_issues_one_read_per_peer_per_superstep(self, graph):
         result = run_sonuma_bulk(graph, 3, supersteps=2)
         assert result.remote_reads == 2 * 3 * 2  # steps x nodes x peers
+
+    @pytest.mark.parametrize("run", [run_sonuma_bulk, run_sonuma_fine])
+    def test_timed_out_read_raises_instead_of_computing(self, graph, run,
+                                                        monkeypatch):
+        """Every attempt of node 0's read of node 1's first record line
+        is dropped, so the read times out; the worker must raise
+        RemoteOpFailed rather than compute on the missing data."""
+
+        class DropFirstRecordLine(FaultInjector):
+            def decide(self, src, dst, packet):
+                if (src, dst) == (0, 1) and packet.offset == 0 \
+                        and getattr(packet, "op", None) is Opcode.RREAD:
+                    return FaultDecision(drop=True)
+                return None
+
+        build_cluster = Cluster.__init__
+
+        def init(cluster, *args, **kwargs):
+            build_cluster(cluster, *args, **kwargs)
+            cluster.fabric.install_fault_injector(DropFirstRecordLine())
+
+        monkeypatch.setattr(Cluster, "__init__", init)
+        config = ClusterConfig(num_nodes=2, node=NodeConfig(rmc=RMCConfig(
+            retransmit_timeout_ns=2_000.0, max_retries=1)))
+        with pytest.raises(RemoteOpFailed, match="timeout"):
+            run(graph, 2, supersteps=1, cluster_config=config)
 
     def test_parallelism_speeds_up_shm(self, graph):
         t1 = run_shm(graph, 1).elapsed_ns

@@ -73,6 +73,21 @@ class TestCache:
         assert cache.flush() == 1
         assert cache.occupancy == 0
 
+    def test_flush_and_occupancy_across_untouched_sets(self):
+        cache = Cache(small_l1())   # 8 sets of 2 ways
+        assert cache.occupancy == 0 and cache.flush() == 0
+        assert not cache.contains(0x40)
+        assert cache.invalidate(0x80) is None
+        cache.fill(0x0, dirty=True)      # set 0
+        cache.fill(0x200, dirty=True)    # set 0 again
+        cache.fill(0x40)                 # set 1
+        assert cache.occupancy == 3
+        assert cache.fill(0x400) is not None   # evicts 0x0 from set 0
+        assert cache.occupancy == 3
+        assert cache.flush() == 1
+        assert cache.occupancy == 0
+        assert not cache.probe(0x200)
+
     def test_geometry_validation(self):
         with pytest.raises(ValueError):
             CacheConfig(name="bad", size_bytes=100, associativity=3,

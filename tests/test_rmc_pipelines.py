@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.cluster import Cluster, ClusterConfig
 from repro.fabric import FabricConfig
 from repro.node import NodeConfig
+from repro.protocol import Opcode, ReplyPacket
 from repro.rmc import RMCConfig
 from repro.runtime import RMCSession
 from repro.vm import CACHE_LINE_SIZE, PAGE_SIZE
@@ -189,3 +190,26 @@ class TestWriteDataPathThroughRGP:
         cluster.run()
         assert cluster.peek_segment(1, CTX, 0, 64) == b"A" * 64
         assert cluster.peek_segment(1, CTX, 64, 64) == b"B" * 64
+
+
+class TestDuplicateReplies:
+    def test_reply_and_its_retransmitted_copy_count_once(self):
+        """An original reply and its retransmitted copy that both reach
+        the RCP before either has deposited its payload complete the
+        line once; the second is counted as a duplicate."""
+        cluster, sessions = build()
+        session = sessions[0]
+        lbuf = session.alloc_buffer(4096)
+        rmc = cluster.nodes[0].rmc
+        entry = rmc.itt.allocate(
+            qp=session.qp, wq_index=0, op=Opcode.RREAD, base_offset=0,
+            local_vaddr=lbuf, total_lines=2, chunks=[(0, 64), (64, 64)])
+        reply = ReplyPacket(dst_nid=0, src_nid=1, tid=entry.tid, offset=0,
+                            payload=bytes(range(64)))
+        for _ in range(2):
+            cluster.sim.process(rmc._complete(reply))
+        cluster.run()
+        assert entry.completed_lines == 1 and not entry.done
+        assert rmc.counters["replies_handled"] == 1
+        assert rmc.counters["replies_duplicate"] == 1
+        assert session.buffer_peek(lbuf, 64) == bytes(range(64))

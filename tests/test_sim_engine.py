@@ -1,7 +1,11 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+import gc
+import weakref
+
 import pytest
 
+from repro.node.core import Core
 from repro.sim import AnyOf, Simulator, SimulationError, WakeSignal
 
 
@@ -358,3 +362,54 @@ def test_call_later_daemon_does_not_sustain_run():
     sim.run()
     assert sim.now == pytest.approx(3.0)
     assert fired == []
+
+
+def test_any_of_rejects_none():
+    """An immediate grant (``None``) is not an event: passing one to
+    ``any_of`` is a caller bug and fails loudly."""
+    sim = Simulator()
+    with pytest.raises(TypeError):
+        sim.any_of([sim.timeout(1), None])
+
+
+def test_negative_compute_fails_the_calling_process():
+    sim = Simulator()
+    core = Core(sim, 0, port=None)
+
+    def app(sim):
+        try:
+            yield core.compute(-1)
+        except ValueError:
+            return "rejected"
+        return "ran"
+
+    proc = sim.process(app(sim))
+    sim.run()
+    assert proc.value == "rejected"
+    assert sim.now == 0
+
+
+def test_finished_process_is_freed_without_cyclic_gc():
+    """A finished process is not part of a reference cycle: dropping
+    the last reference frees it (and its return value) at once."""
+
+    class Result:
+        pass
+
+    sim = Simulator()
+
+    def worker(sim):
+        yield 1.0
+        yield sim.timeout(2.0)
+        return Result()
+
+    gc.disable()
+    try:
+        proc = sim.process(worker(sim))
+        sim.run()
+        # Process has no __weakref__ slot; its return value stands in.
+        ref = weakref.ref(proc.value)
+        del proc
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -97,6 +97,21 @@ class TestPhysicalMemory:
         with pytest.raises(ValueError):
             PhysicalMemory(PAGE_SIZE + 1)
 
+    def test_fresh_memory_reads_zeros_at_both_ends(self):
+        mem = PhysicalMemory(8 * PAGE_SIZE)
+        assert mem.read(0, 64) == bytes(64)
+        assert mem.read(8 * PAGE_SIZE - 64, 64) == bytes(64)
+        assert mem.read_u64(8 * PAGE_SIZE - 8) == 0
+
+    def test_roundtrip_at_last_byte(self):
+        mem = PhysicalMemory(4 * PAGE_SIZE)
+        last = 4 * PAGE_SIZE - 1
+        mem.write(last, b"\x7f")
+        assert mem.read(last, 1) == b"\x7f"
+        assert mem.read(last - 3, 4) == b"\x00\x00\x00\x7f"
+        with pytest.raises(IndexError):
+            mem.write(last, b"ab")
+
     def test_frame_allocator_exhaustion(self):
         mem = PhysicalMemory(2 * PAGE_SIZE)
         alloc = FrameAllocator(mem)
@@ -159,6 +174,51 @@ class TestPageTable:
         pt.map(0x10000000, alloc.alloc_frame(), pinned=True)
         with pytest.raises(ValueError):
             pt.unmap(0x10000000)
+
+    def test_rejected_unmap_of_pinned_page_keeps_it(self):
+        pt, alloc = self._make()
+        frame = alloc.alloc_frame()
+        pt.map(0x10000000, frame, pinned=True)
+        with pytest.raises(ValueError):
+            pt.unmap(0x10000000)
+        assert pt.is_mapped(0x10000000)
+        assert pt.mapped_pages == 1
+        assert pt.translate(0x10000000 + 5) == frame + 5
+
+    @given(ops=st.lists(st.tuples(
+        st.sampled_from(["map", "unmap"]),
+        # Pages that share and split radix indices at every level.
+        st.sampled_from([0, 1, 511, 512, 1 << 18, (1 << 27) + 5]),
+        st.booleans()), max_size=40))
+    @settings(max_examples=100)
+    def test_property_map_unmap_matches_dict_model(self, ops):
+        """Property: any map/unmap sequence leaves the table exactly
+        like a dict of vaddr -> (frame, pinned), errors included."""
+        pt = PageTable(asid=3)
+        model = {}
+        for i, (op, vpn, pinned) in enumerate(ops):
+            vaddr = vpn * PAGE_SIZE
+            if op == "map":
+                if vaddr in model:
+                    with pytest.raises(ValueError):
+                        pt.map(vaddr, i * PAGE_SIZE)
+                else:
+                    pt.map(vaddr, i * PAGE_SIZE, pinned=pinned)
+                    model[vaddr] = (i * PAGE_SIZE, pinned)
+            elif vaddr not in model:
+                with pytest.raises(PageFault):
+                    pt.unmap(vaddr)
+            elif model[vaddr][1]:
+                with pytest.raises(ValueError):
+                    pt.unmap(vaddr)
+            else:
+                pt.unmap(vaddr)
+                del model[vaddr]
+            assert pt.mapped_pages == len(model)
+            assert {v: (pte.frame_paddr, pte.pinned)
+                    for v, pte in pt.iter_mappings()} == model
+            for v, (frame, _) in model.items():
+                assert pt.translate(v + 9) == frame + 9
 
     def test_lookup_reports_levels(self):
         pt, alloc = self._make()
